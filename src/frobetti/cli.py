@@ -96,25 +96,6 @@ def validate_output(obj, schema, path: str = "$") -> list[str]:
 # --- argument plumbing ---
 
 
-def _is_prime_int(p: int) -> bool:
-    if p < 2:
-        return False
-    k = 2
-    while k * k <= p:
-        if p % k == 0:
-            return False
-        k += 1
-    return True
-
-
-def _is_power_of(q: int, p: int) -> bool:
-    if q < p:
-        return False
-    while q % p == 0:
-        q //= p
-    return q == 1
-
-
 def _q_list(text: str) -> list[int]:
     try:
         qs = [int(part) for part in text.split(",") if part.strip()]
@@ -131,11 +112,13 @@ def _usage(message: str) -> "int":
 
 
 def _check_job(args) -> None:
-    if not _is_prime_int(args.p):
+    from .ffla import is_power_of, is_prime
+
+    if not is_prime(args.p):
         _usage(f"p = {args.p} is not prime")
     if getattr(args, "q", None) and not args.allow_any_q:
         for q in args.q:
-            if not _is_power_of(q, args.p):
+            if not is_power_of(q, args.p):
                 _usage(
                     f"q = {q} is not a positive power of p = {args.p}"
                     " (pass --allow-any-q to override)"
@@ -211,10 +194,12 @@ def cmd_check_compressed(args) -> int:
 
 
 def _tail_diff(q0: int, tab0, q1: int, tab1) -> dict:
+    from .linkage import frobenius_shift
     from .resolution import detect_periodic_tail
 
     head = f"q = {q0} vs q = {q1}"
-    if (3 * (q1 - q0)) % 2:
+    shift = frobenius_shift(q0, q1)
+    if shift is None:
         return {
             "q0": q0,
             "q1": q1,
@@ -222,7 +207,6 @@ def _tail_diff(q0: int, tab0, q1: int, tab1) -> dict:
             "agree": False,
             "detail": f"{head}: shift 3(q1-q0)/2 is not an integer",
         }
-    shift = 3 * (q1 - q0) // 2
     a = detect_periodic_tail(tab0)
     b = detect_periodic_tail(tab1)
     if not a.found or not b.found:
@@ -354,16 +338,17 @@ def cmd_reproduce_examples(args) -> int:
 
 
 def cmd_socle(args) -> int:
-    from .linkage import ku_shift_check, socle_direct, socle_via_link
+    from .linkage import KUShiftReport, require_ku_shift, socle_direct, socle_via_link
 
     _check_job(args)
     f = _resolve_f(args, args.q[0])
-    results, shifts = [], []
+    results, shifts, vias = [], [], []
     lines = [f"p = {args.p}  n = {args.n}  f = {f}\n"]
     for q in args.q:
         t0 = time.time()
         direct = socle_direct(f, q)
         via = socle_via_link(f, q)
+        vias.append((q, via))
         print(f"q = {q}: {time.time() - t0:.1f}s", file=sys.stderr)
         agree = direct.dims == via.dims
         results.append(
@@ -379,8 +364,9 @@ def cmd_socle(args) -> int:
             f"q = {q}: direct {_dims_str(direct.dims)}  via link {_dims_str(via.dims)}"
             f"  {'agree' if agree else 'DISAGREE'}\n"
         )
-    for q0, q1 in zip(args.q, args.q[1:]):
-        rep = ku_shift_check(f, q0, q1)
+    for (q0, via0), (q1, via1) in zip(vias, vias[1:]):
+        require_ku_shift(f, q0, q1)
+        rep = KUShiftReport.compare(q0, via0, q1, via1)
         shifts.append({"q0": q0, "q1": q1, "shift": rep.shift, "ok": bool(rep)})
         lines.append(
             f"q = {q0} vs q = {q1}: socle shift {rep.shift} {'ok' if rep else 'FAILS'}\n"

@@ -12,6 +12,10 @@ evaluated through float64 BLAS whenever the accumulator provably fits in
 2^53 (exact in that regime), with a chunked int64 fallback for large p.
 The reduced row echelon form over a field is unique, so panel size and
 BLAS threading cannot change any result bit.
+
+`int64_room` is the one statement of how many residue products an int64
+sum holds exactly; `_mulmod` chunks by it, and every other running sum of
+products in the package reduces mod p by it.
 """
 
 from __future__ import annotations
@@ -48,6 +52,15 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def is_power_of(q: int, p: int) -> bool:
+    """Whether q = p^k for some k >= 1."""
+    if p < 2 or q < p:
+        return False
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
 class Prime(int):
     """A verified prime characteristic in [2, 2^31)."""
 
@@ -60,6 +73,15 @@ class Prime(int):
         return super().__new__(cls, p)
 
 
+def int64_room(p: int) -> int:
+    """How many products of two residues mod p an int64 sum holds exactly.
+
+    The sum may start from one residue as well, so a running sum reduced
+    mod p after every int64_room(p) products never passes 2^63.
+    """
+    return max(1, 2 ** 62 // (p - 1) ** 2)
+
+
 def _mulmod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """Exact (A @ B) % p for residue matrices."""
     k = A.shape[1]
@@ -70,7 +92,7 @@ def _mulmod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
         C = A.astype(np.float64) @ B.astype(np.float64)
         return np.rint(C).astype(np.int64) % p
     # accumulator could overflow 2^53: chunk the inner dimension in int64
-    step = max(1, (2 ** 62) // ((p - 1) ** 2))
+    step = int64_room(p)
     acc = np.zeros(out_shape, dtype=np.int64)
     for i in range(0, k, step):
         acc = (acc + A[:, i:i + step] @ B[i:i + step]) % p

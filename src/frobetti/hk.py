@@ -74,16 +74,17 @@ def hk_direct(f: HomogPoly, q: int) -> HKReport:
 def hilbert_series_check(f: HomogPoly, q: int) -> bool | str:
     """Compare the degreewise profile against the closed Hilbert series.
 
-    Applies only to relatively compressed links with d and p of opposite
-    parity and q >= d+3; anything else returns "inapplicable".  When it
-    applies, the profile of R/m^[q] must equal the expansion of
+    Applies only to n = 3 variables and relatively compressed links with
+    d and p of opposite parity and q >= d+3; anything else returns
+    "inapplicable".  When it applies, the profile of R/m^[q] must equal
+    the expansion of
 
         (1 - 3t^q - t^d + 2d t^b + 3t^{q+d} - 2d t^{b+1}) / (1-t)^3
 
     with b = (3q+d-1)/2, and True/False reports exact agreement.
     """
     d = f.deg
-    if q < d + 3:
+    if f.n != 3 or q < d + 3:
         return "inapplicable"
     if (int(f.p) - d) % 2 == 0:
         return "inapplicable"

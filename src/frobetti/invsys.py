@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ffla import FMatrix, Prime, kernel_basis, left_kernel, rank, rref
+from .ffla import FMatrix, Prime, is_power_of, kernel_basis, left_kernel, rank, rref
 from .polyring import DividedElem, HomogPoly, basis, dim_P
 
 _MASK64 = (1 << 64) - 1
@@ -319,12 +319,6 @@ class CompressedReport:
         return self.verdict
 
 
-def _is_prime_power_of(q: int, p: int) -> bool:
-    while q > 1 and q % p == 0:
-        q //= p
-    return q == 1
-
-
 def _relcomp_checks(f: HomogPoly, q: int, mode: str) -> CompressedReport:
     from . import linkage  # deferred: linkage imports this module
 
@@ -361,7 +355,7 @@ def is_relatively_compressed(f: HomogPoly, q: int, mode: str = "quick") -> Compr
     quick mode tests the single middle degree (sufficient); full mode tests
     every degree 0..s and exists to validate the shortcut empirically.
     """
-    if not _is_prime_power_of(q, f.p):
+    if not is_power_of(q, f.p):
         warnings.warn(
             f"q={q} is not a power of the characteristic {int(f.p)}",
             RuntimeWarning,

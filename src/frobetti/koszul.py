@@ -34,7 +34,7 @@ import numpy as np
 
 from .ffla import FMatrix, rank, reduce_rows
 from .invsys import ann_piece, dprime_basis
-from .polyring import DividedElem, basis, dim_P
+from .polyring import DividedElem, basis, dim_P, mul_ranks
 
 _KINDS = ("kappa", "eta", "eta_prime", "kos")
 
@@ -48,21 +48,15 @@ def _wedges(n: int, a: int) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _mult_map(n: int, b: int, t: int) -> np.ndarray:
     """Index map S_b -> S_{b+1} (or P_b -> P_{b+1}) under the variable t."""
-    src = basis(n, b)
-    e = src.exps.copy()
-    e[:, t] += 1
-    return basis(n, b + 1).rank_rows(e)
+    return mul_ranks(b, basis(n, b).exps, np.eye(n, dtype=np.int64)[t])
 
 
 @lru_cache(maxsize=None)
 def _contr_map(n: int, b: int, t: int) -> np.ndarray:
-    """Partial index map D_b -> D_{b-1} under contraction by X_t (-1 = killed)."""
-    src = basis(n, b)
-    out = np.full(src.size, -1, dtype=np.int64)
-    ok = src.exps[:, t] >= 1
-    e = src.exps[ok].copy()
-    e[:, t] -= 1
-    out[ok] = basis(n, b - 1).rank_rows(e)
+    """Partial index map D_b -> D_{b-1} under contraction by X_t (-1 = killed):
+    the inverse of _mult_map(n, b-1, t)."""
+    out = np.full(dim_P(n, b), -1, dtype=np.int64)
+    out[_mult_map(n, b - 1, t)] = np.arange(dim_P(n, b - 1))
     return out
 
 
@@ -245,13 +239,10 @@ class TruncatedLedger:
 
 def _span_rank(p: int, n: int, vecs: np.ndarray, i: int) -> int:
     """rank of P_1 · (row space of vecs), vecs over the degree-(i-1) basis."""
-    src = basis(n, i - 1)
-    tgt = basis(n, i)
-    prods = np.zeros((n * vecs.shape[0], tgt.size), dtype=np.int64)
+    k = vecs.shape[0]
+    prods = np.zeros((n * k, dim_P(n, i)), dtype=np.int64)
     for t in range(n):
-        e = src.exps.copy()
-        e[:, t] += 1
-        prods[t * vecs.shape[0] : (t + 1) * vecs.shape[0], tgt.rank_rows(e)] = vecs
+        prods[t * k : (t + 1) * k, _mult_map(n, i - 1, t)] = vecs
     return rank(FMatrix.of(p, prods))
 
 

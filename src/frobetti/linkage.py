@@ -22,9 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ffla import FMatrix, Prime, rank, reduce_rows, rref
+from .ffla import FMatrix, Prime, is_power_of, rank, reduce_rows, rref
 from .invsys import MultigradeSplitter, _relcomp_checks, bbasis, bhat_kernel, dim_B
-from .polyring import DividedElem, HomogPoly, basis, dim_P
+from .polyring import DividedElem, HomogPoly, basis, dim_P, mul_ranks
 
 
 def link_inverse_poly(f: HomogPoly, q: int) -> DividedElem:
@@ -47,12 +47,8 @@ def link_inverse_poly(f: HomogPoly, q: int) -> DividedElem:
 @lru_cache(maxsize=None)
 def _bshift(n: int, q: int, i: int, t: int) -> np.ndarray:
     """Index map B_i -> B_{i+1} under multiplication by x_t (-1 = lands in c)."""
-    src = bbasis(n, i, q)
-    tgt = bbasis(n, i + 1, q)
-    shifted = src.exps.copy()
-    shifted[:, t] += 1
-    full = basis(n, i + 1).rank_rows(shifted)
-    return tgt.full_to_sub[full]
+    x_t = np.eye(n, dtype=np.int64)[t]
+    return bbasis(n, i + 1, q).full_to_sub[mul_ranks(i, bbasis(n, i, q).exps, x_t)]
 
 
 def _mul_into_B(vecs: np.ndarray, n: int, q: int, i: int) -> np.ndarray:
@@ -141,17 +137,12 @@ def _count_at_q(phi: DividedElem, q: int, n: int, kprev: FMatrix, kq: FMatrix):
     if kprev.rows == 0:
         return n + kq.rows, True
     prods = np.zeros((n * kprev.rows, full_q.size), dtype=np.int64)
-    for t in range(n):
-        shifted = bbasis(n, q - 1, q).exps.copy()
-        shifted[:, t] += 1
-        cols = full_q.rank_rows(shifted)
-        prods[t * kprev.rows : (t + 1) * kprev.rows, cols] = kprev.a
+    src = bbasis(n, q - 1, q).exps
+    for t, x_t in enumerate(np.eye(n, dtype=np.int64)):
+        prods[t * kprev.rows : (t + 1) * kprev.rows, mul_ranks(q - 1, src, x_t)] = kprev.a
     R, r, _ = rref(FMatrix.of(p, prods))
     cvecs = np.zeros((n, full_q.size), dtype=np.int64)
-    for t in range(n):
-        mono = [0] * n
-        mono[t] = q
-        cvecs[t, full_q.rank(tuple(mono))] = 1
+    cvecs[np.arange(n), full_q.rank_rows(q * np.eye(n, dtype=np.int64))] = 1
     kvecs = np.zeros((kq.rows, full_q.size), dtype=np.int64)
     kvecs[:, bbasis(n, q, q).idx] = kq.a
     total = rank(FMatrix.of(p, np.concatenate([R.a[:r], cvecs, kvecs], axis=0)))
@@ -282,14 +273,11 @@ def _fmul_rows(f: HomogPoly, q: int, j: int) -> np.ndarray:
     src = bbasis(n, j - f.deg, q)
     tgt = bbasis(n, j, q)
     out = np.zeros((src.size, tgt.size), dtype=np.int64)
-    if src.size and tgt.size:
-        full = basis(n, j)
-        for m, c in f.terms():
-            ranks = full.rank_rows(src.exps + np.asarray(m, dtype=np.int64))
-            sub = tgt.full_to_sub[ranks]
-            ok = sub >= 0
-            out[np.nonzero(ok)[0], sub[ok]] += c
-    return out % f.p
+    for m, c in f.terms():
+        sub = tgt.full_to_sub[mul_ranks(j - f.deg, src.exps, m)]
+        ok = sub >= 0
+        out[np.nonzero(ok)[0], sub[ok]] = c
+    return out
 
 
 def socle_direct(f: HomogPoly | None, q: int, *, p=None, n: int = 3) -> SocleReport:
@@ -358,6 +346,13 @@ def socle_via_link(f: HomogPoly, q: int) -> SocleReport:
     return SocleReport(dims=dims)
 
 
+def frobenius_shift(q0: int, q1: int) -> int | None:
+    """The degree shift 3(q1 − q0)/2 that carries socle degrees and tail
+    twists of the q0 instance to the q1 instance, or None when it is not
+    an integer.  This is the formula for n = 3 variables only."""
+    return None if (3 * (q1 - q0)) % 2 else 3 * (q1 - q0) // 2
+
+
 @dataclass(frozen=True)
 class KUShiftReport:
     ok: bool
@@ -369,19 +364,25 @@ class KUShiftReport:
     def __bool__(self) -> bool:
         return self.ok
 
+    @classmethod
+    def compare(cls, q0: int, s0: SocleReport, q1: int, s1: SocleReport) -> "KUShiftReport":
+        """Compare the socle at q1 with the socle at q0 shifted by frobenius_shift."""
+        shift = frobenius_shift(q0, q1)
+        degrees = sorted(set(j + shift for j in s0.dims) | set(s1.dims))
+        pairs = [(j - shift, j, s0.dims.get(j - shift, 0), s1.dims.get(j, 0)) for j in degrees]
+        ok = all(v0 == v1 for _, _, v0, v1 in pairs)
+        return cls(ok=ok, shift=shift, q0=q0, q1=q1, pairs=pairs)
 
-def ku_shift_check(f: HomogPoly, q0: int, q1: int) -> KUShiftReport:
-    """Socle of the q1 instance = socle of the q0 instance shifted by (3/2)(q1−q0)."""
+
+def require_ku_shift(f: HomogPoly, q0: int, q1: int) -> None:
+    """Raise ValueError unless the socle shift theorem applies to f at q0 and q1:
+    n = 3, q0 <= q1 both powers of p, q0 >= d+3, and both links relatively
+    compressed."""
     d = f.deg
     p = int(f.p)
-
-    def _pow_of_p(q):
-        v = q
-        while v > 1 and v % p == 0:
-            v //= p
-        return v == 1
-
-    if not _pow_of_p(q0) or not _pow_of_p(q1):
+    if f.n != 3:
+        raise ValueError(f"the socle shift 3(q1-q0)/2 holds for n = 3 only (got n={f.n})")
+    if not is_power_of(q0, p) or not is_power_of(q1, p):
         raise ValueError(f"q0, q1 must be powers of p={p}")
     if q1 < q0:
         raise ValueError("require q1 >= q0")
@@ -390,16 +391,9 @@ def ku_shift_check(f: HomogPoly, q0: int, q1: int) -> KUShiftReport:
     for q in (q0, q1):
         if not _relcomp_checks(f, q, "quick").verdict:
             raise ValueError(f"link not relatively compressed at q={q}")
-    assert (3 * (q1 - q0)) % 2 == 0
-    shift = 3 * (q1 - q0) // 2
-    s0 = socle_via_link(f, q0)
-    s1 = socle_via_link(f, q1)
-    degrees = sorted(set(j + shift for j in s0.dims) | set(s1.dims))
-    pairs = []
-    ok = True
-    for j1 in degrees:
-        v0 = s0.dims.get(j1 - shift, 0)
-        v1 = s1.dims.get(j1, 0)
-        pairs.append((j1 - shift, j1, v0, v1))
-        ok = ok and v0 == v1
-    return KUShiftReport(ok=ok, shift=shift, q0=q0, q1=q1, pairs=pairs)
+
+
+def ku_shift_check(f: HomogPoly, q0: int, q1: int) -> KUShiftReport:
+    """Socle of the q1 instance = socle of the q0 instance shifted by (3/2)(q1−q0)."""
+    require_ku_shift(f, q0, q1)
+    return KUShiftReport.compare(q0, socle_via_link(f, q0), q1, socle_via_link(f, q1))

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ffla import Prime
+from .ffla import Prime, int64_room
 
 _VAR_LETTERS = "xyzwuv"
 
@@ -92,6 +92,17 @@ class GradedBasis:
 @lru_cache(maxsize=None)
 def basis(n: int, deg: int) -> GradedBasis:
     return GradedBasis(n, deg)
+
+
+def mul_ranks(a: int, exps: np.ndarray, m) -> np.ndarray:
+    """Index in basis(n, a + |m|) of x^m times each row of exps.
+
+    The rows are monomials of degree a: all of P_a, or only the ones in
+    use (standard monomials, the box B_a).  Every multiply-by-monomial
+    index map of the package is built here.
+    """
+    m = np.asarray(m, dtype=np.int64)
+    return basis(m.size, a + int(m.sum())).rank_rows(exps + m)
 
 
 def mono_degree(m) -> int:
@@ -238,28 +249,23 @@ def poly_mul(a: HomogPoly, b: HomogPoly) -> HomogPoly:
     if a.p != b.p or a.n != b.n:
         raise ValueError("incompatible polynomials")
     deg = a.deg + b.deg
-    tgt = basis(a.n, deg)
-    bb = basis(b.n, b.deg)
-    out = np.zeros(tgt.size, dtype=np.int64)
-    for m, c in a.terms():
-        ranks = tgt.rank_rows(bb.exps + np.asarray(m, dtype=np.int64))
-        np.add.at(out, ranks, c * b.coef)
+    out = np.zeros(dim_P(a.n, deg), dtype=np.int64)
+    src = basis(b.n, b.deg).exps
+    room = int64_room(a.p)
+    for k, (m, c) in enumerate(a.terms(), 1):
+        out[mul_ranks(b.deg, src, m)] += c * b.coef
+        if k % room == 0:
+            out %= a.p
     return HomogPoly(a.p, a.n, deg, out)
 
 
 def contract(m, g: DividedElem) -> DividedElem:
-    """Contraction of a divided element by a monomial (coefficient-1 transfer)."""
-    md = mono_degree(m)
-    if md > g.deg:
+    """Contraction of a divided element by a monomial (coefficient-1 transfer):
+    out[J] = g[J + m]."""
+    a = g.deg - mono_degree(m)
+    if a < 0:
         raise ValueError("degree underflow")
-    src = basis(g.n, g.deg)
-    tgt = basis(g.n, g.deg - md)
-    diff = src.exps - np.asarray(m, dtype=np.int64)
-    ok = (diff >= 0).all(axis=1)
-    out = np.zeros(tgt.size, dtype=np.int64)
-    if ok.any():
-        np.add.at(out, tgt.rank_rows(diff[ok]), g.coef[ok])
-    return DividedElem(g.p, g.n, g.deg - md, out)
+    return DividedElem(g.p, g.n, a, g.coef[mul_ranks(a, basis(g.n, a).exps, m)])
 
 
 def poly_apply(pq: HomogPoly, g: DividedElem) -> DividedElem:

@@ -30,10 +30,12 @@ import json
 
 import numpy as np
 
-from .ffla import FMatrix, Prime, _inv_small, kernel_basis, rank, reduce_rows, rref
+from .ffla import (
+    FMatrix, Prime, _inv_small, _mulmod, int64_room, kernel_basis, rank, reduce_rows, rref,
+)
 from .invsys import dim_B
 from .linkage import _fmul_rows
-from .polyring import HomogPoly, basis, dim_P
+from .polyring import HomogPoly, basis, dim_P, mul_ranks
 
 
 def mult_matrix(g: HomogPoly, a: int) -> np.ndarray:
@@ -49,9 +51,8 @@ def mult_matrix(g: HomogPoly, a: int) -> np.ndarray:
     out = np.zeros((src.size, tgt.size), dtype=np.int64)
     rows = np.arange(src.size)
     for m, c in g.terms():
-        ranks = tgt.rank_rows(src.exps + np.asarray(m, dtype=np.int64))
-        out[rows, ranks] += c
-    return out % g.p
+        out[rows, mul_ranks(a, src.exps, m)] = c
+    return out
 
 
 class _PlainSlices:
@@ -72,11 +73,9 @@ class _PlainSlices:
         key = (a, t)
         if key not in self._shifts:
             src = basis(self.n, a)
-            tgt = basis(self.n, a + 1)
-            e = np.zeros(self.n, dtype=np.int64)
-            e[t] = 1
-            out = np.zeros((src.size, tgt.size), dtype=np.int64)
-            out[np.arange(src.size), tgt.rank_rows(src.exps + e)] = 1
+            x_t = np.eye(self.n, dtype=np.int64)[t]
+            out = np.zeros((src.size, dim_P(self.n, a + 1)), dtype=np.int64)
+            out[np.arange(src.size), mul_ranks(a, src.exps, x_t)] = 1
             self._shifts[key] = out
         return self._shifts[key]
 
@@ -106,12 +105,9 @@ class QuotientBasis:
         self.d = f.deg
         lm, lc = f.leading()
         self.lead = np.asarray(lm, dtype=np.int64)
-        self._lcinv = pow(int(lc), -1, int(f.p))
-        self._rest = [
-            (np.asarray(m, dtype=np.int64), int(c))
-            for m, c in f.terms()
-            if tuple(m) != lm
-        ]
+        # lead = sum over the other terms of (-c / lc) * m, modulo f
+        lcinv = pow(int(lc), -1, int(f.p))
+        self._rest = [(m, -c * lcinv % f.p) for m, c in f.terms() if m != lm]
         self._reduce: dict[int, np.ndarray] = {}
         self._std: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._shifts: dict[tuple[int, int], np.ndarray] = {}
@@ -137,23 +133,24 @@ class QuotientBasis:
         """dim_P(j) x dim(j) matrix sending P_j coordinates to reduced ones."""
         if j in self._reduce:
             return self._reduce[j]
-        b = basis(self.n, j)
         std_idx, _ = self._std_data(j)
         w = std_idx.size
-        R = np.zeros((b.size, w), dtype=np.int64)
+        R = np.zeros((dim_P(self.n, j), w), dtype=np.int64)
         R[std_idx, np.arange(w)] = 1
-        nonstd = np.nonzero(np.all(b.exps >= self.lead, axis=1))[0]
-        if nonstd.size:
-            # all rewrite targets of index i sit at strictly larger index
-            # (descending graded-lex), so one reverse pass suffices
-            targets = [
-                b.rank_rows(b.exps[nonstd] - self.lead + m) for m, _ in self._rest
-            ]
-            for pos in range(nonstd.size - 1, -1, -1):
-                acc = np.zeros(w, dtype=np.int64)
-                for (m, c), t in zip(self._rest, targets):
-                    acc += c * R[t[pos]]
-                R[nonstd[pos]] = (-self._lcinv * acc) % self.p
+        # the non-standard monomials are lead * P_{j-d}, in the same order;
+        # all rewrite targets of index i sit at strictly larger index
+        # (descending graded-lex), so one reverse pass suffices
+        quo = basis(self.n, j - self.d).exps
+        nonstd = mul_ranks(j - self.d, quo, self.lead)
+        targets = [mul_ranks(j - self.d, quo, m) for m, _ in self._rest]
+        room = int64_room(self.p)
+        for pos in range(nonstd.size - 1, -1, -1):
+            acc = np.zeros(w, dtype=np.int64)
+            for k, ((_, c), t) in enumerate(zip(self._rest, targets), 1):
+                acc += c * R[t[pos]]
+                if k % room == 0:
+                    acc %= self.p
+            R[nonstd[pos]] = acc % self.p
         self._reduce[j] = R
         return R
 
@@ -164,24 +161,23 @@ class QuotientBasis:
             return np.zeros((0, self.dim(a + e)), dtype=np.int64)
         _, se = self._std_data(a)
         red = self.reduce_matrix(a + e)
-        pt = basis(self.n, a + e)
         out = np.zeros((se.shape[0], self.dim(a + e)), dtype=np.int64)
-        for m, c in g.terms():
-            ranks = pt.rank_rows(se + np.asarray(m, dtype=np.int64))
-            out += c * red[ranks]
+        room = int64_room(self.p)
+        for k, (m, c) in enumerate(g.terms(), 1):
+            out += c * red[mul_ranks(a, se, m)]
+            if k % room == 0:
+                out %= self.p
         return out % self.p
 
     def shift(self, a: int, t: int) -> np.ndarray:
         key = (a, t)
         if key not in self._shifts:
-            e = np.zeros(self.n, dtype=np.int64)
-            e[t] = 1
-            g = HomogPoly.from_terms(self.p, self.n, 1, {tuple(e): 1})
-            self._shifts[key] = self.mult(g, a)
+            x_t = HomogPoly.monomial(self.p, self.n, np.eye(self.n, dtype=np.int64)[t])
+            self._shifts[key] = self.mult(x_t, a)
         return self._shifts[key]
 
     def encode(self, g: HomogPoly) -> np.ndarray:
-        return (g.coef @ self.reduce_matrix(g.deg)) % self.p
+        return _mulmod(g.coef[None, :], self.reduce_matrix(g.deg), self.p)[0]
 
     def decode(self, vec: np.ndarray, a: int) -> HomogPoly:
         std_idx, _ = self._std_data(a)
@@ -354,9 +350,9 @@ def _shift_rows(ops, degs, rows: np.ndarray, jm1: int) -> np.ndarray:
             if dims1[r] == 0 or dims2[r] == 0:
                 continue
             sh = ops.shift(jm1 - dg, t)
-            blk[:, off2[r] : off2[r + 1]] = (
-                rows[:, off1[r] : off1[r + 1]] @ sh
-            ) % ops.p
+            blk[:, off2[r] : off2[r + 1]] = _mulmod(
+                rows[:, off1[r] : off1[r + 1]], sh, ops.p
+            )
     return out
 
 

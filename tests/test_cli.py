@@ -256,3 +256,27 @@ def test_validator_flags_problems():
     assert validate_output({**good, "extra": 1}, schema) != []
     assert validate_output({**good, "p": "7"}, schema) != []
     assert validate_output({**good, "p": True}, schema) != []  # bool is not integer
+
+
+def test_socle_computes_each_link_profile_once(capsys, monkeypatch):
+    from frobetti import linkage
+
+    calls = []
+    profile = linkage.measured_generator_profile
+
+    def counted(*args, **kw):
+        calls.append(args[1])
+        return profile(*args, **kw)
+
+    monkeypatch.setattr(linkage, "measured_generator_profile", counted)
+    rc, out, _ = run(
+        capsys, ["socle", "-p", "5", "-f", "random", "-d", "2", "--seed", "1", "-q", "5,25"]
+    )
+    assert rc == 0
+    assert sorted(calls) == [5, 25]
+    assert out == (
+        "p = 5  n = 3  f = 4*x*y + y*z + 3*z^2\n"
+        "q = 5: direct {6: 4}  via link {6: 4}  agree\n"
+        "q = 25: direct {36: 4}  via link {36: 4}  agree\n"
+        "q = 5 vs q = 25: socle shift 30 ok\n"
+    )

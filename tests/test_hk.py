@@ -116,3 +116,11 @@ def test_series_check_inapplicable_same_parity():
 
 def test_series_check_inapplicable_uncompressed():
     assert hilbert_series_check(P("x4 + y4 + z4", 5), 25) == "inapplicable"
+
+
+def test_series_check_inapplicable_four_variables():
+    from frobetti.invsys import random_compressed_search
+
+    f = random_compressed_search(3, 4, 2, 9, seed=3)
+    assert f.n == 4
+    assert hilbert_series_check(f, 9) == "inapplicable"

@@ -258,3 +258,9 @@ def test_socle_oracles_random_compressed():
         hits += 1
         assert socle_direct(f, q).dims == socle_via_link(f, q).dims
     assert hits >= 3
+
+
+def test_ku_shift_refuses_four_variables():
+    f = P("x2 + y2 + z2 + w2", 3, n=4)
+    with pytest.raises(ValueError, match="n = 3"):
+        ku_shift_check(f, 9, 9)

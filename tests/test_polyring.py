@@ -199,3 +199,43 @@ def test_incompatible_pieces_raise():
     b = HomogPoly.zero(5, 3, 3)
     with pytest.raises(ValueError):
         _ = a + b
+
+
+# --- products at the top of the admitted p range and shared index maps ---
+
+
+def test_poly_mul_large_p_collisions_match_python_ints():
+    # x*yz, y*xz and z*xy all land on xyz: three products of size ~2^62
+    p, n = 2**31 - 1, 3
+    a = HomogPoly.from_terms(p, n, 1, {(1, 0, 0): p - 1, (0, 1, 0): p - 2, (0, 0, 1): p - 3})
+    b = HomogPoly.from_terms(
+        p, n, 2, {(0, 1, 1): p - 1, (1, 0, 1): p - 5, (1, 1, 0): p - 7, (2, 0, 0): p - 11}
+    )
+    want: dict = {}
+    for ma, ca in a.terms():
+        for mb, cb in b.terms():
+            m = mono_mul(ma, mb)
+            want[m] = (want.get(m, 0) + ca * cb) % p
+    assert poly_mul(a, b) == HomogPoly.from_terms(p, n, 3, want)
+
+
+def test_mul_ranks_and_contract_match_shifted_exponents():
+    from frobetti.polyring import mul_ranks
+
+    rng = np.random.RandomState(5)
+    for n in range(1, 5):
+        for a in range(4):
+            src = basis(n, a)
+            for k in range(3):
+                for m in basis(n, k).exps:
+                    tgt = basis(n, a + k)
+                    want = np.array([tgt.rank(tuple(e + m)) for e in src.exps], dtype=np.int64)
+                    assert np.array_equal(mul_ranks(a, src.exps, m), want)
+                    rows = src.exps[::2]
+                    assert np.array_equal(mul_ranks(a, rows, m), want[::2])
+                    g = DividedElem(7, n, a + k, rng.randint(0, 7, size=tgt.size))
+                    old = np.zeros(src.size, dtype=np.int64)
+                    for I, c in zip(tgt.exps, g.coef):
+                        if (I >= m).all():
+                            old[src.rank(tuple(I - m))] += c
+                    assert contract(tuple(m), g) == DividedElem(7, n, a, old)

@@ -305,3 +305,10 @@ def test_extract_tail_mf_before_tail_raises():
 def test_extract_tail_mf_without_tail_raises():
     with pytest.raises(ValueError, match="no periodic tail"):
         extract_tail_mf(P("x4 + y4 + z4", 5), 25, 3)
+
+
+def test_over_R_exact_at_largest_admitted_prime():
+    f = P("-xy2 - 2yz2 - 3zx2 - x3", 2**31 - 1)
+    res = resolve_over_R(f, 5, 4)
+    assert res.table.totals() == [1, 3, 4, 4, 4]
+    audit_resolution(res)

@@ -193,20 +193,18 @@ def cmd_check_compressed(args) -> int:
     return EXIT_OK
 
 
-def _tail_diff(q0: int, tab0, q1: int, tab1) -> dict:
+def _tail_diff(n: int, q0: int, tab0, q1: int, tab1) -> dict:
     from .linkage import frobenius_shift
     from .resolution import detect_periodic_tail
 
     head = f"q = {q0} vs q = {q1}"
-    shift = frobenius_shift(q0, q1)
-    if shift is None:
-        return {
-            "q0": q0,
-            "q1": q1,
-            "shift": 0,
-            "agree": False,
-            "detail": f"{head}: shift 3(q1-q0)/2 is not an integer",
-        }
+    try:
+        shift = frobenius_shift(n, q0, q1)
+        why = None if shift is not None else "shift 3(q1-q0)/2 is not an integer"
+    except ValueError as e:
+        why = str(e)
+    if why:
+        return {"q0": q0, "q1": q1, "shift": 0, "agree": False, "detail": f"{head}: {why}"}
     a = detect_periodic_tail(tab0)
     b = detect_periodic_tail(tab1)
     if not a.found or not b.found:
@@ -245,7 +243,7 @@ def cmd_betti(args) -> int:
         print(f"q = {q}: {time.time() - t0:.1f}s", file=sys.stderr)
         tables.append((q, tab))
     stability = [
-        _tail_diff(q0, tab0, q1, tab1)
+        _tail_diff(args.n, q0, tab0, q1, tab1)
         for (q0, tab0), (q1, tab1) in zip(tables, tables[1:])
     ]
     parts = [f"p = {args.p}  n = {args.n}  f = {f}\n"]

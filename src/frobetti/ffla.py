@@ -13,6 +13,10 @@ evaluated through float64 BLAS whenever the accumulator provably fits in
 The reduced row echelon form over a field is unique, so panel size and
 BLAS threading cannot change any result bit.
 
+`block_rref` and `block_kernel` take a matrix that is block-diagonal over
+column classes as its blocks and eliminate class by class; they are the one
+kernel implementation (`kernel_basis` is the one-class case).
+
 `int64_room` is the one statement of how many residue products an int64
 sum holds exactly; `_mulmod` chunks by it, and every other running sum of
 products in the package reduces mod p by it.
@@ -124,7 +128,7 @@ def _plain_gauss_jordan(a: np.ndarray, p: int) -> list[int]:
     return piv
 
 
-def _inv_small(M: np.ndarray, p: int) -> np.ndarray:
+def inv_small(M: np.ndarray, p: int) -> np.ndarray:
     """Inverse of a small invertible matrix over GF(p)."""
     k = M.shape[0]
     a = np.concatenate([M % p, np.eye(k, dtype=np.int64)], axis=1)
@@ -179,7 +183,7 @@ def _gauss_jordan(a: np.ndarray, p: int) -> list[int]:
         if k and c1 < w:
             rows = np.asarray(prows)
             cols = np.asarray(pcols)
-            F = _inv_small(p0[np.ix_(rows, cols)], p)
+            F = inv_small(p0[np.ix_(rows, cols)], p)
             C = p0[:, cols].copy()
             C[rows] = 0
             for u0 in range(c1, w, _SLAB):
@@ -290,18 +294,50 @@ def kernel_basis(M: FMatrix) -> FMatrix:
     Row for free column c has 1 at c and back-substituted pivot entries, so
     the output is itself in RREF (up to row order by free column).
     """
-    R, r, piv = rref(M)
-    w = M.cols
-    pivset = set(piv)
-    free = [c for c in range(w) if c not in pivset]
-    K = np.zeros((len(free), w), dtype=np.int64)
-    if free:
-        K[np.arange(len(free)), free] = 1
-        if r:
-            neg = (-R.a[:r][:, free]) % M.p
-            for j, c in enumerate(piv):
-                K[:, c] = neg[j]
-    return FMatrix.of(M.p, K)
+    return block_kernel(M.p, M.cols, [(np.arange(M.cols), M.a)])
+
+
+def block_rref(p: Prime, w: int, blocks) -> tuple[np.ndarray, int]:
+    """RREF rows and rank of a width-w matrix that is block-diagonal over
+    column classes.
+
+    `blocks` yields (cols, sub) pairs: one class's column indices and the
+    matrix's rows in that class restricted to those columns.  The rows come
+    back scattered to width w, class after class; within a class they are in
+    RREF, and the union spans the row space.
+    """
+    done = []
+    for cols, sub in blocks:
+        R, r, _ = rref(FMatrix.of(p, sub))
+        done.append((cols, R.a[:r]))
+    out = np.zeros((sum(R.shape[0] for _, R in done), w), dtype=np.int64)
+    at = 0
+    for cols, R in done:
+        out[at:at + R.shape[0], cols] = R
+        at += R.shape[0]
+    return out, at
+
+
+def block_kernel(p: Prime, w: int, blocks) -> FMatrix:
+    """kernel_basis of the width-w matrix assembled from `blocks`, row for row.
+
+    `blocks` is as in block_rref.  A column that no block's rows reach is
+    free and gets its identity row; each class writes its back-substituted
+    entries straight into the rows of its own free columns.
+    """
+    done = []
+    free = np.ones(w, dtype=bool)
+    for cols, sub in blocks:
+        R, r, piv = rref(FMatrix.of(p, sub))
+        free[cols[piv]] = False
+        done.append((cols, R.a[:r], piv))
+    fcols = np.flatnonzero(free)
+    K = np.zeros((fcols.size, w), dtype=np.int64)
+    K[np.arange(fcols.size), fcols] = 1
+    for cols, R, piv in done:
+        loc = np.flatnonzero(free[cols])
+        K[np.ix_(np.searchsorted(fcols, cols[loc]), cols[piv])] = (-R[:, loc].T) % p
+    return FMatrix.of(p, K)
 
 
 def left_kernel(M: FMatrix) -> FMatrix:

@@ -12,6 +12,11 @@ every exponent of φ is < q and the rows/columns indexed by monomials with
 an exponent ≥ q vanish identically; ranks are then computed on the
 B-restricted submatrix (B = monomials with all exponents < q), which is
 dramatically smaller at large q.
+
+These matrices are block-diagonal over the multidegree classes of φ's
+support.  The class split lives in `MultigradeSplitter` (class keys) plus
+`ffla.block_rref`/`block_kernel` (elimination block by block); the pairing
+matrix is cut into its blocks in one place, `_bhat_blocks`.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ffla import FMatrix, Prime, is_power_of, kernel_basis, left_kernel, rank, rref
+from .ffla import FMatrix, Prime, block_kernel, is_power_of, left_kernel, rank, rref
 from .polyring import DividedElem, HomogPoly, basis, dim_P
 
 _MASK64 = (1 << 64) - 1
@@ -150,6 +155,11 @@ class MultigradeSplitter:
         self.t0 = t0
         self.R, self.d = _diagonalize_lattice(diffs)
 
+    @classmethod
+    def of(cls, phi: DividedElem) -> "MultigradeSplitter":
+        """The splitter of a nonzero φ's support."""
+        return cls(basis(phi.n, phi.deg).exps[np.nonzero(phi.coef)[0]])
+
     def labels(self, exps: np.ndarray) -> np.ndarray:
         lab = np.asarray(exps, dtype=np.int64) @ self.R.T
         for i, di in enumerate(self.d):
@@ -157,77 +167,37 @@ class MultigradeSplitter:
                 lab[:, i] %= di
         return lab
 
-    def complement_labels(self, exps: np.ndarray) -> np.ndarray:
-        """Class of t0 − m: the column class a row m pairs against."""
-        return self.labels(self.t0[None, :] - np.asarray(exps, dtype=np.int64))
+    def keys(self, *exps: np.ndarray) -> list[np.ndarray]:
+        """Integer class keys of each exponent array, comparable across them."""
+        lab = np.concatenate([self.labels(e) for e in exps])
+        _, inv = np.unique(lab, axis=0, return_inverse=True)
+        at = np.cumsum([0] + [len(e) for e in exps])
+        return [inv[a:b] for a, b in zip(at, at[1:])]
 
-    def shifted_labels(self, exps: np.ndarray, offset) -> np.ndarray:
-        """Class of m + offset for a fixed offset exponent."""
-        return self.labels(np.asarray(exps, dtype=np.int64) + np.asarray(offset, dtype=np.int64)[None, :])
 
-
-def _label_keys(*label_arrays: np.ndarray):
-    """Encode label rows to comparable integer keys shared across arrays."""
-    stacked = np.concatenate(label_arrays, axis=0)
-    _, inv = np.unique(stacked, axis=0, return_inverse=True)
-    out = []
-    at = 0
-    for arr in label_arrays:
-        out.append(inv[at : at + arr.shape[0]])
-        at += arr.shape[0]
-    return out
+def _bhat_blocks(phi: DividedElem, i: int, q: int):
+    """The blocks of bhat_matrix(phi, i, q), as ffla.block_rref takes them:
+    one per column class that some row reaches.  Row m pairs only against
+    columns in the class of t0 − m."""
+    if phi.is_zero():
+        return
+    rb = bbasis(phi.n, i, q)
+    cb = bbasis(phi.n, phi.deg - i, q)
+    sp = MultigradeSplitter.of(phi)
+    rkey, ckey = sp.keys(sp.t0 - rb.exps, cb.exps)
+    for c in np.intersect1d(rkey, ckey):
+        cols = np.flatnonzero(ckey == c)
+        yield cols, _pairing_block(phi, rb.exps[rkey == c], cb.exps[cols])
 
 
 def bhat_rank(phi: DividedElem, i: int, q: int) -> int:
     """rank of bhat_matrix(phi, i, q) via the multidegree block split."""
-    rb = bbasis(phi.n, i, q)
-    cb = bbasis(phi.n, phi.deg - i, q)
-    supp = np.nonzero(phi.coef)[0]
-    if rb.size == 0 or cb.size == 0 or supp.size == 0:
-        return 0
-    sp = MultigradeSplitter(basis(phi.n, phi.deg).exps[supp])
-    rkey, ckey = _label_keys(sp.complement_labels(rb.exps), sp.labels(cb.exps))
-    total = 0
-    for c in np.unique(rkey):
-        ridx = np.nonzero(rkey == c)[0]
-        cidx = np.nonzero(ckey == c)[0]
-        if cidx.size == 0:
-            continue
-        sub = _pairing_block(phi, rb.exps[ridx], cb.exps[cidx])
-        total += rank(FMatrix.of(phi.p, sub))
-    return total
+    return sum(rank(FMatrix.of(phi.p, sub)) for _, sub in _bhat_blocks(phi, i, q))
 
 
 def bhat_kernel(phi: DividedElem, i: int, q: int) -> FMatrix:
-    """Right-kernel basis of bhat_matrix(phi, i, q), assembled per block."""
-    p = phi.p
-    rb = bbasis(phi.n, i, q)
-    cb = bbasis(phi.n, phi.deg - i, q)
-    if cb.size == 0:
-        return FMatrix.zeros(p, 0, 0)
-    supp = np.nonzero(phi.coef)[0]
-    if rb.size == 0 or supp.size == 0:
-        return FMatrix.identity(p, cb.size)
-    sp = MultigradeSplitter(basis(phi.n, phi.deg).exps[supp])
-    rkey, ckey = _label_keys(sp.complement_labels(rb.exps), sp.labels(cb.exps))
-    parts = []
-    for c in np.unique(ckey):
-        cidx = np.nonzero(ckey == c)[0]
-        ridx = np.nonzero(rkey == c)[0]
-        if ridx.size == 0:
-            block = np.zeros((cidx.size, cb.size), dtype=np.int64)
-            block[np.arange(cidx.size), cidx] = 1
-            parts.append(block)
-            continue
-        sub = _pairing_block(phi, rb.exps[ridx], cb.exps[cidx])
-        K = kernel_basis(FMatrix.of(p, sub))
-        if K.rows:
-            block = np.zeros((K.rows, cb.size), dtype=np.int64)
-            block[:, cidx] = K.a
-            parts.append(block)
-    if not parts:
-        return FMatrix.zeros(p, 0, cb.size)
-    return FMatrix.of(p, np.concatenate(parts, axis=0))
+    """kernel_basis(bhat_matrix(phi, i, q)), eliminated block by block."""
+    return block_kernel(phi.p, bbasis(phi.n, phi.deg - i, q).size, _bhat_blocks(phi, i, q))
 
 
 def _pairing_block(phi: DividedElem, row_exps: np.ndarray, col_exps: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ffla import FMatrix, Prime, is_power_of, rank, reduce_rows, rref
+from .ffla import FMatrix, Prime, block_rref, is_power_of, rank, reduce_rows, rref
 from .invsys import MultigradeSplitter, _relcomp_checks, bbasis, bhat_kernel, dim_B
 from .polyring import DividedElem, HomogPoly, basis, dim_P, mul_ranks
 
@@ -75,15 +75,6 @@ def _bkernel(phi: DividedElem, i: int, q: int) -> FMatrix:
     return bhat_kernel(phi, phi.deg - i, q)
 
 
-def _phi_splitter(phi: DividedElem) -> MultigradeSplitter:
-    return MultigradeSplitter(basis(phi.n, phi.deg).exps[np.nonzero(phi.coef)[0]])
-
-
-def _col_keys(sp: MultigradeSplitter, n: int, q: int, i: int) -> np.ndarray:
-    lab = sp.labels(bbasis(n, i, q).exps)
-    return np.unique(lab, axis=0, return_inverse=True)[1]
-
-
 def _grouped_rref(p, a: np.ndarray, ckey: np.ndarray):
     """RREF basis of the row space of a when every row's support sits in one
     column class (true of kernel rows and their variable shifts).  Splitting
@@ -91,24 +82,13 @@ def _grouped_rref(p, a: np.ndarray, ckey: np.ndarray):
     (basis rows, rank)."""
     nz = a != 0
     live = nz.any(axis=1)
-    if not live.any():
-        return np.zeros((0, a.shape[1]), dtype=np.int64), 0
     a = a[live]
-    rcls = ckey[np.argmax(nz[live], axis=1)]
-    parts = []
-    total = 0
-    for c in np.unique(rcls):
-        rows_c = a[rcls == c]
-        cols_c = np.nonzero(ckey == c)[0]
-        sub = rows_c[:, cols_c]
-        if np.count_nonzero(sub) != np.count_nonzero(rows_c):
-            raise AssertionError("row support crosses column classes")
-        R, r, _ = rref(FMatrix.of(p, sub))
-        full = np.zeros((r, a.shape[1]), dtype=np.int64)
-        full[:, cols_c] = R.a[:r]
-        parts.append(full)
-        total += r
-    return np.concatenate(parts, axis=0), total
+    rcls = ckey[np.argmax(nz[live], axis=1)] if a.size else ckey[:0]
+    cols = {c: np.flatnonzero(ckey == c) for c in np.unique(rcls)}
+    blocks = [(cc, a[rcls == c][:, cc]) for c, cc in cols.items()]
+    if sum(np.count_nonzero(sub) for _, sub in blocks) != np.count_nonzero(a):
+        raise AssertionError("row support crosses column classes")
+    return block_rref(p, a.shape[1], blocks)
 
 
 @dataclass(frozen=True)
@@ -153,7 +133,7 @@ def _count_at_q(phi: DividedElem, q: int, n: int, kprev: FMatrix, kq: FMatrix):
 def _profile_literal(phi: DividedElem, q: int, n: int) -> GeneratorProfile:
     p = phi.p
     s = phi.deg
-    sp = _phi_splitter(phi)
+    sp = MultigradeSplitter.of(phi)
     counts: dict[int, int] = {}
     ci_minimal = True
     kprev = FMatrix.zeros(p, 0, bbasis(n, 0, q).size)
@@ -164,7 +144,7 @@ def _profile_literal(phi: DividedElem, q: int, n: int) -> GeneratorProfile:
         else:
             if kprev.rows:
                 span = _mul_into_B(kprev.a, n, q, i - 1)
-                _, r = _grouped_rref(p, span, _col_keys(sp, n, q, i))
+                _, r = _grouped_rref(p, span, sp.keys(bbasis(n, i, q).exps)[0])
             else:
                 r = 0
             mu = ki.rows - r
@@ -179,7 +159,7 @@ def _profile_fast(phi: DividedElem, q: int, n: int, seed: FMatrix | None) -> Gen
     only extracts kernels at degrees where new generators actually appear."""
     p = phi.p
     s = phi.deg
-    sp = _phi_splitter(phi)
+    sp = MultigradeSplitter.of(phi)
     counts: dict[int, int] = {q: n}
     if seed is not None:
         i_start = (s + 1) // 2
@@ -191,7 +171,7 @@ def _profile_fast(phi: DividedElem, q: int, n: int, seed: FMatrix | None) -> Gen
     for i in range(i_start + 1, s + 2):
         exp_dim = bbasis(n, i, q).size - (dim_B(n, s - i, q) if i <= s else 0)
         span = _mul_into_B(vecs, n, q, i - 1)
-        basis_rows, r = _grouped_rref(p, span, _col_keys(sp, n, q, i))
+        basis_rows, r = _grouped_rref(p, span, sp.keys(bbasis(n, i, q).exps)[0])
         if r == exp_dim:
             vecs = basis_rows
             continue
@@ -346,10 +326,13 @@ def socle_via_link(f: HomogPoly, q: int) -> SocleReport:
     return SocleReport(dims=dims)
 
 
-def frobenius_shift(q0: int, q1: int) -> int | None:
+def frobenius_shift(n: int, q0: int, q1: int) -> int | None:
     """The degree shift 3(q1 − q0)/2 that carries socle degrees and tail
     twists of the q0 instance to the q1 instance, or None when it is not
-    an integer.  This is the formula for n = 3 variables only."""
+    an integer.  The formula holds for n = 3 variables only; other n raise
+    ValueError."""
+    if n != 3:
+        raise ValueError(f"the shift 3(q1-q0)/2 holds for n = 3 only (got n={n})")
     return None if (3 * (q1 - q0)) % 2 else 3 * (q1 - q0) // 2
 
 
@@ -366,8 +349,9 @@ class KUShiftReport:
 
     @classmethod
     def compare(cls, q0: int, s0: SocleReport, q1: int, s1: SocleReport) -> "KUShiftReport":
-        """Compare the socle at q1 with the socle at q0 shifted by frobenius_shift."""
-        shift = frobenius_shift(q0, q1)
+        """Compare the socle at q1 with the socle at q0 shifted by frobenius_shift
+        (the socle shift theorem is for n = 3; require_ku_shift refuses other n)."""
+        shift = frobenius_shift(3, q0, q1)
         degrees = sorted(set(j + shift for j in s0.dims) | set(s1.dims))
         pairs = [(j - shift, j, s0.dims.get(j - shift, 0), s1.dims.get(j, 0)) for j in degrees]
         ok = all(v0 == v1 for _, _, v0, v1 in pairs)
@@ -380,8 +364,7 @@ def require_ku_shift(f: HomogPoly, q0: int, q1: int) -> None:
     compressed."""
     d = f.deg
     p = int(f.p)
-    if f.n != 3:
-        raise ValueError(f"the socle shift 3(q1-q0)/2 holds for n = 3 only (got n={f.n})")
+    frobenius_shift(f.n, q0, q1)  # refuses n != 3
     if not is_power_of(q0, p) or not is_power_of(q1, p):
         raise ValueError(f"q0, q1 must be powers of p={p}")
     if q1 < q0:

@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from .polyring import HomogPoly
-from .resolution import _poly_matmul, _scalar_of
+from .resolution import scalar_of
 
 
 def _one(p, n: int) -> HomogPoly:
@@ -188,7 +188,7 @@ def be_pfaffian_check(gens, X: SkewPolyMatrix) -> bool:
         if g_zero:
             continue
         if s is None:
-            s = _scalar_of(g, pf)
+            s = scalar_of(g, pf)
             if not s:
                 return False
         elif g != pf.scale(s):
@@ -256,5 +256,5 @@ def certify_pf_of_tail(A, f: HomogPoly) -> bool:
     det = _det_poly(A, f.p, f.n)
     if det is None:
         return False
-    s = _scalar_of(det, f * f)
+    s = scalar_of(det, f * f)
     return s is not None and s != 0

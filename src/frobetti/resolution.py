@@ -31,7 +31,7 @@ import json
 import numpy as np
 
 from .ffla import (
-    FMatrix, Prime, _inv_small, _mulmod, int64_room, kernel_basis, rank, reduce_rows, rref,
+    FMatrix, Prime, _mulmod, inv_small, int64_room, kernel_basis, rank, reduce_rows, rref,
 )
 from .invsys import dim_B
 from .linkage import _fmul_rows
@@ -577,7 +577,7 @@ def detect_periodic_tail(table: BettiTable) -> PeriodicTail:
     return PeriodicTail(False, None, None, None, (), "no tail")
 
 
-def _poly_matmul(A, B, p, n):
+def poly_matmul(A, B):
     """Product of two matrices of homogeneous polynomials (None = zero)."""
     rows = len(A)
     mid = len(B)
@@ -611,7 +611,7 @@ def _scaled_row_sum(polys, coeffs) -> HomogPoly | None:
     return acc
 
 
-def _scalar_of(e: HomogPoly | None, f: HomogPoly) -> int | None:
+def scalar_of(e: HomogPoly | None, f: HomogPoly) -> int | None:
     """c with e = c*f, or None if e is not a scalar multiple of f."""
     if e is None or e.is_zero():
         return 0
@@ -637,15 +637,14 @@ class MatrixFactorization:
         return len(self.a)
 
     def verify(self) -> bool:
-        p, n = self.f.p, self.f.n
         for prod in (
-            _poly_matmul(self.a, self.b, p, n),
-            _poly_matmul(self.b, self.a, p, n),
+            poly_matmul(self.a, self.b),
+            poly_matmul(self.b, self.a),
         ):
             for r in range(self.size):
                 for c in range(self.size):
                     want = 1 if r == c else 0
-                    if _scalar_of(prod[r][c], self.f) != want:
+                    if scalar_of(prod[r][c], self.f) != want:
                         return False
         return True
 
@@ -690,16 +689,16 @@ def extract_tail_mf(f: HomogPoly, q: int, at_step: int) -> MatrixFactorization:
         )
     A = A_map.entries
     B = B_map.entries
-    prod = _poly_matmul(B, A, f.p, f.n)
+    prod = poly_matmul(B, A)
     C = np.zeros((k, k), dtype=np.int64)
     for r in range(k):
         for c in range(k):
-            s = _scalar_of(prod[r][c], f)
+            s = scalar_of(prod[r][c], f)
             if s is None:
                 raise ValueError("not a matrix factorization: B*A is not C*f")
             C[r, c] = s
     try:
-        Cinv = _inv_small(C, int(f.p))
+        Cinv = inv_small(C, int(f.p))
     except ValueError:
         raise ValueError(
             "not a matrix factorization: composite splits off a singular part"
@@ -734,7 +733,7 @@ def audit_resolution(res: Resolution, jmax: int | None = None) -> None:
         degs = [d for m in res.maps for d in m.src_degs]
         jmax = max(degs) + 1 if degs else res.q + 1
     for a, b in zip(res.maps, res.maps[1:]):
-        prod = _poly_matmul(b.entries, a.entries, p, n)
+        prod = poly_matmul(b.entries, a.entries)
         for row in prod:
             for e in row:
                 dead = e is None or e.is_zero()

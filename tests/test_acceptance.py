@@ -33,7 +33,7 @@ from frobetti.pfaffian import (
 )
 from frobetti.polyring import DividedElem, HomogPoly, dim_P, parse_poly
 from frobetti.resolution import (
-    _poly_matmul,
+    poly_matmul,
     betti_over_R,
     detect_periodic_tail,
     extract_tail_mf,
@@ -143,7 +143,7 @@ def test_criterion_03_tail_stability():
     shift = 3 * (49 - 7) // 2
     assert shift == 63
     assert tuple(t + shift for t in t7.twists) == t49.twists
-    rec = cli._tail_diff(7, betti_over_R(f, 7, 4), 49, betti_over_R(f, 49, 4))
+    rec = cli._tail_diff(3, 7, betti_over_R(f, 7, 4), 49, betti_over_R(f, 49, 4))
     assert rec["agree"] and rec["shift"] == 63
     print("criterion 3: PASS - q = 7 and q = 49 tails equal after shift 63, rank 8, gaps (1, 3)")
 
@@ -258,8 +258,8 @@ def test_criterion_08_pfaffian_suite():
         pf = pfaffian(X)
         adj = pfaffian_adjoint(X)
         for prod in (
-            _poly_matmul(X.entries, adj.entries, p, 3),
-            _poly_matmul(adj.entries, X.entries, p, 3),
+            poly_matmul(X.entries, adj.entries),
+            poly_matmul(adj.entries, X.entries),
         ):
             for i in range(k):
                 for j in range(k):

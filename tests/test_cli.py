@@ -117,15 +117,31 @@ def _golden_table(name):
 
 
 def test_tail_diff_agrees_after_shift():
-    rec = _tail_diff(7, _golden_table("cyc4-q7"), 49, _golden_table("cyc4-q49"))
+    rec = _tail_diff(3, 7, _golden_table("cyc4-q7"), 49, _golden_table("cyc4-q49"))
     assert rec["agree"]
     assert rec["shift"] == 63
     assert "tails equal after shift 63" in rec["detail"]
 
 
 def test_tail_diff_without_tails_disagrees():
-    rec = _tail_diff(5, _golden_table("cyc3-q5"), 25, _golden_table("cyc3-q25"))
+    rec = _tail_diff(3, 5, _golden_table("cyc3-q5"), 25, _golden_table("cyc3-q25"))
     assert not rec["agree"]
+
+
+def test_tail_diff_refuses_shift_for_n_other_than_3():
+    rec = _tail_diff(4, 7, _golden_table("cyc4-q7"), 49, _golden_table("cyc4-q49"))
+    assert not rec["agree"] and rec["shift"] == 0
+    assert "n = 3 only" in rec["detail"]
+
+
+def test_betti_four_variables_prints_tables_without_shift(capsys):
+    rc, out, _ = run(
+        capsys, ["betti", "-p", "2", "-n", "4", "-f", "x*y+z*w", "-q", "2,4", "--steps", "6"]
+    )
+    assert rc == 0
+    assert "q = 2\n" in out and "q = 4\n" in out
+    assert "tails differ" not in out
+    assert "q = 2 vs q = 4: the shift 3(q1-q0)/2 holds for n = 3 only (got n=4)" in out
 
 
 # --- reproduce-examples ---

@@ -5,6 +5,8 @@ import frobetti.ffla as ffla
 from frobetti.ffla import (
     FMatrix,
     Prime,
+    block_kernel,
+    block_rref,
     is_prime,
     kernel_basis,
     left_kernel,
@@ -94,6 +96,44 @@ def test_kernel_identity_empty():
 def test_kernel_zero_matrix_standard_basis():
     K = kernel_basis(FMatrix.zeros(5, 2, 3))
     assert K.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_kernel_matches_naive_back_substitution():
+    rng = np.random.RandomState(23)
+    for p in (2, 7, 101, 2**31 - 1):
+        for _ in range(10):
+            rows = rng.randint(0, min(p, 4), size=(rng.randint(1, 9), rng.randint(1, 9))).tolist()
+            R, piv = naive_rref(rows, p)
+            want = []
+            for c in (c for c in range(len(rows[0])) if c not in piv):
+                v = [0] * len(rows[0])
+                v[c] = 1
+                for j, pc in enumerate(piv):
+                    v[pc] = -R[j][c] % p
+                want.append(v)
+            assert kernel_basis(FMatrix(p, rows)).tolist() == want
+
+
+def test_block_split_matches_assembled_matrix():
+    rng = np.random.RandomState(31)
+    p = 7
+    for _ in range(20):
+        w = rng.randint(1, 12)
+        ncls = rng.randint(1, 4)
+        ckey = rng.randint(0, ncls + 1, size=w)  # class ncls has no rows
+        blocks, assembled = [], []
+        for c in range(ncls):
+            cols = np.flatnonzero(ckey == c)
+            sub = rng.randint(0, 2, size=(rng.randint(0, 5), cols.size)) * rng.randint(1, p)
+            blocks.append((cols, sub))
+            full = np.zeros((sub.shape[0], w), dtype=np.int64)
+            full[:, cols] = sub
+            assembled.append(full)
+        M = FMatrix(p, np.concatenate(assembled) if assembled else np.zeros((0, w)))
+        assert block_kernel(M.p, w, blocks) == kernel_basis(M)
+        rows, r = block_rref(M.p, w, blocks)
+        assert r == rank(M) == rows.shape[0]
+        assert np.array_equal(rref(FMatrix(p, rows))[0].a[:r], rref(M)[0].a[:r])
 
 
 def test_membership_examples():

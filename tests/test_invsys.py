@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobetti.ffla import FMatrix, rank, rref, row_space_membership
 from frobetti.invsys import (
@@ -359,16 +360,9 @@ def test_bhat_kernel_blocked_matches_dense():
         qq = q if q is not None else phi.deg + 1
         for i in range(phi.deg + 1):
             M = bhat_matrix(phi, i, qq)
-            K_dense = kernel_basis(M)
             K_blk = bhat_kernel(phi, i, qq)
-            assert K_blk.rows == K_dense.rows
-            if K_blk.rows:
-                prod = matmul(M, K_blk.transpose())
-                assert not prod.a.any()
-                R1, r1, _ = rref(K_dense)
-                R2, r2, _ = rref(K_blk)
-                assert r1 == r2
-                assert np.array_equal(R1.a[:r1], R2.a[:r2])
+            assert np.array_equal(K_blk.a, kernel_basis(M).a), (phi.deg, qq, i)
+            assert not matmul(M, K_blk.transpose()).a.any()
 
 
 def test_multigrade_splitter_classes():
@@ -404,3 +398,39 @@ def test_single_term_phi_splits_to_singletons():
         K_blk = bhat_kernel(phi, i, 5)
         K_dense = kernel_basis(bhat_matrix(phi, i, 5))
         assert K_blk.rows == K_dense.rows
+
+
+@st.composite
+def _sparse_links(draw):
+    """The inverse polynomial of the link of a sparse n = 3 form, and its q."""
+    p = draw(st.sampled_from([5, 7, 2**31 - 1]))
+    d = draw(st.integers(2, 3))
+    q = draw(st.integers(d + 1, d + 4))
+    size = dim_P(3, d)
+    coef = np.zeros(size, dtype=np.int64)
+    for k in sorted(draw(st.sets(st.integers(0, size - 1), min_size=1))):
+        coef[k] = draw(st.integers(1, p - 1))
+    return link_inverse_poly(HomogPoly(p, 3, d, coef), q), q
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_sparse_links())
+def test_block_split_matches_dense_property(case):
+    from frobetti.ffla import kernel_basis
+    from frobetti.invsys import MultigradeSplitter, bhat_kernel, bhat_rank
+    from frobetti.linkage import _grouped_rref, _mul_into_B
+
+    phi, q = case
+    p, n, s = phi.p, phi.n, phi.deg
+    sp = MultigradeSplitter.of(phi)
+    for i in range(s + 1):
+        M = bhat_matrix(phi, i, q)
+        K = kernel_basis(M)
+        assert bhat_rank(phi, i, q) == rank(M)
+        assert np.array_equal(bhat_kernel(phi, i, q).a, K.a)
+        # kernel rows over B_{s-i} and their shifts sit in one class each
+        span = _mul_into_B(K.a, n, q, s - i)
+        rows, r = _grouped_rref(p, span, sp.keys(bbasis(n, s - i + 1, q).exps)[0])
+        R, dense, _ = rref(FMatrix.of(p, span))
+        assert r == dense == rank(FMatrix.of(p, rows))
+        assert np.array_equal(rref(FMatrix.of(p, rows))[0].a[:r], R.a[:r])

@@ -537,7 +537,12 @@ def _add_common(sp, *, poly=True, qlist=True, steps=False, mode=False):
     if steps:
         sp.add_argument("--steps", type=int, default=4, help="resolution steps (default 4)")
         sp.add_argument(
-            "--degree-cap", type=int, default=None, help="certified degree cap override"
+            "--degree-cap",
+            type=int,
+            default=None,
+            help="last internal degree each syzygy step scans (default: largest "
+            "source degree + q + deg f); columns past it are unexplored, not "
+            "certified zero",
         )
     if mode:
         sp.add_argument(

@@ -4,14 +4,16 @@ Every downstream question (catalecticant ranks, syzygy kernels, strand
 homology, socles) reduces to rank / kernel / membership computations on
 dense matrices over GF(p), so this module is the performance core.
 
-Entries are int64 residues in [0, p).  Elimination runs on column panels:
-pivots are found by short eliminations confined to the panel, and the
-trailing block then absorbs the panel's accumulated row operations as two
-matrix products whose inner dimension is the panel rank.  Products are
-evaluated through float64 BLAS whenever the accumulator provably fits in
-2^53 (exact in that regime), with a chunked int64 fallback for large p.
-The reduced row echelon form over a field is unique, so panel size and
-BLAS threading cannot change any result bit.
+Entries are int64 residues in [0, p).  `_plain_gauss_jordan` is the one
+pivot loop.  Elimination runs on column panels: the loop finds a panel's
+pivots among the rows that hold none yet, and the rest of the matrix then
+absorbs the panel's row operations as matrix products whose inner
+dimension is the panel rank.  Rows are tracked by a permutation and moved
+once, at the end; a matrix no wider than one panel goes to the pivot loop
+directly.  Products are evaluated through float64 BLAS whenever the
+accumulator provably fits in 2^53 (exact in that regime), with a chunked
+int64 fallback for large p.  The reduced row echelon form over a field is
+unique, so panel size and BLAS threading cannot change any result bit.
 
 `block_rref` and `block_kernel` take a matrix that is block-diagonal over
 column classes as its blocks and eliminate class by class; they are the one
@@ -94,7 +96,9 @@ def _mulmod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
         return np.zeros(out_shape, dtype=np.int64)
     if k * (p - 1) ** 2 < 2 ** 53:
         C = A.astype(np.float64) @ B.astype(np.float64)
-        return np.rint(C).astype(np.int64) % p
+        out = np.rint(C, out=C).astype(np.int64)
+        out %= p
+        return out
     # accumulator could overflow 2^53: chunk the inner dimension in int64
     step = int64_room(p)
     acc = np.zeros(out_shape, dtype=np.int64)
@@ -103,9 +107,11 @@ def _mulmod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
-def _plain_gauss_jordan(a: np.ndarray, p: int) -> list[int]:
-    """Unblocked in-place RREF; returns pivot columns. Reference/small sizes."""
+def _plain_gauss_jordan(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Unblocked in-place RREF; returns pivot columns and the row order left
+    (order[j] = the input row now at j: pivot rows first, in pivot order)."""
     m, w = a.shape
+    order = np.arange(m)
     piv: list[int] = []
     r = 0
     for c in range(w):
@@ -117,6 +123,7 @@ def _plain_gauss_jordan(a: np.ndarray, p: int) -> list[int]:
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
+            order[[r, i]] = order[[i, r]]
         a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
         fac = a[:, c].copy()
         fac[r] = 0
@@ -125,14 +132,14 @@ def _plain_gauss_jordan(a: np.ndarray, p: int) -> list[int]:
             a[hit] = (a[hit] - np.outer(fac[hit], a[r])) % p
         piv.append(c)
         r += 1
-    return piv
+    return piv, order
 
 
 def inv_small(M: np.ndarray, p: int) -> np.ndarray:
     """Inverse of a small invertible matrix over GF(p)."""
     k = M.shape[0]
     a = np.concatenate([M % p, np.eye(k, dtype=np.int64)], axis=1)
-    piv = _plain_gauss_jordan(a, p)
+    piv, _ = _plain_gauss_jordan(a, p)
     if piv != list(range(k)):
         raise ValueError("matrix not invertible")
     return a[:, k:]
@@ -141,69 +148,48 @@ def inv_small(M: np.ndarray, p: int) -> np.ndarray:
 def _gauss_jordan(a: np.ndarray, p: int) -> list[int]:
     """In-place RREF of a residue matrix; returns pivot columns.
 
-    Pivots for one panel of columns are located by eliminations restricted
-    to the panel.  The panel's net effect on trailing columns is then: new
-    pivot rows become F times their own initial values (F the inverse of
-    the initial pivot minor), and every other row subtracts its initial
-    panel coefficients times those finished pivot rows.  Both steps are
-    matrix products with inner dimension = panel rank.
+    `perm` lists the rows in echelon order, the pivot rows found so far
+    first; rows move only at the end.  Each panel of columns runs
+    _plain_gauss_jordan on the rows not yet holding a pivot.  With C the
+    initial entries of all rows in the new pivot columns and F the inverse
+    of the new pivot rows' initial minor, the new pivot rows finish as F
+    times their initial values and every other row subtracts C times those:
+    the earlier pivot rows in the panel's columns, every row in the
+    trailing columns, each a product with inner dimension the panel rank.
     """
     m, w = a.shape
+    if w <= _PANEL:
+        return _plain_gauss_jordan(a, p)[0]
+    perm = np.arange(m)
     npiv = 0
-    c0 = 0
     pivots: list[int] = []
-    while c0 < w and npiv < m:
+    for c0 in range(0, w, _PANEL):
+        if npiv == m:
+            break
         c1 = min(c0 + _PANEL, w)
-        panel = a[:, c0:c1].copy()
-        p0 = panel.copy()
-        prows: list[int] = []
-        pcols: list[int] = []
-        taken = np.zeros(m, dtype=bool)
-        for j in range(c1 - c0):
-            col = panel[:, j]
-            i = -1
-            for t in np.nonzero(col[npiv:])[0]:
-                r = npiv + int(t)
-                if not taken[r]:
-                    i = r
-                    break
-            if i < 0:
-                continue
-            panel[i] = panel[i] * pow(int(col[i]), p - 2, p) % p
-            fac = panel[:, j].copy()
-            fac[i] = 0
-            hit = np.nonzero(fac)[0]
-            if hit.size:
-                panel[hit] = (panel[hit] - np.outer(fac[hit], panel[i])) % p
-            taken[i] = True
-            prows.append(i)
-            pcols.append(j)
-            pivots.append(c0 + j)
-        k = len(prows)
-        if k and c1 < w:
-            rows = np.asarray(prows)
-            cols = np.asarray(pcols)
-            F = inv_small(p0[np.ix_(rows, cols)], p)
-            C = p0[:, cols].copy()
-            C[rows] = 0
+        sub = a[perm[npiv:], c0:c1]
+        pcols, order = _plain_gauss_jordan(sub, p)
+        k = len(pcols)
+        if k == 0:
+            continue
+        perm[npiv:] = perm[npiv:][order]
+        top, prows = perm[:npiv], perm[npiv:npiv + k]
+        C = a[:, c0 + np.asarray(pcols)]
+        if c1 < w:
+            F = inv_small(C[prows], p)
+            C[prows] = 0
             for u0 in range(c1, w, _SLAB):
-                u1 = min(u0 + _SLAB, w)
-                T = a[:, u0:u1]
-                V = _mulmod(F, T[rows], p)
-                T = (T - _mulmod(C, V, p)) % p
-                T[rows] = V
-                a[:, u0:u1] = T
-        a[:, c0:c1] = panel
-        # swap the new pivot rows up so pivot rows are always 0..npiv-1
-        for j in range(k):
-            dst, src = npiv + j, prows[j]
-            if src != dst:
-                a[[dst, src]] = a[[src, dst]]
-                for l in range(j + 1, k):
-                    if prows[l] == dst:
-                        prows[l] = src
+                T = a[:, u0:u0 + _SLAB]
+                V = _mulmod(F, T[prows], p)
+                T -= _mulmod(C, V, p)
+                T %= p
+                T[prows] = V
+        a[top, c0:c1] = (a[top, c0:c1] - _mulmod(C[top], sub[:k], p)) % p
+        a[perm[npiv:], c0:c1] = sub
+        pivots += [c0 + c for c in pcols]
         npiv += k
-        c0 = c1
+    moved = np.flatnonzero(perm != np.arange(m))
+    a[moved] = a[perm[moved]]
     return pivots
 
 

@@ -289,14 +289,29 @@ class CompressedReport:
         return self.verdict
 
 
-def _relcomp_checks(f: HomogPoly, q: int, mode: str) -> CompressedReport:
-    from . import linkage  # deferred: linkage imports this module
+def link_inverse_poly(f: HomogPoly, q: int) -> DividedElem:
+    """Inverse polynomial of J_q: divided monomial exponents q-1-a, term by term."""
+    d = f.deg
+    if d >= q:
+        raise ValueError(f"require deg f < q (got deg f={d}, q={q})")
+    if d <= 1:
+        warnings.warn("degree-1 f accepted for smoke tests only", RuntimeWarning, stacklevel=2)
+    n = f.n
+    s = n * (q - 1) - d
+    tgt = basis(n, s)
+    out = np.zeros(tgt.size, dtype=np.int64)
+    for m, c in f.terms():
+        g = tuple(q - 1 - e for e in m)
+        out[tgt.rank(g)] = c
+    return DividedElem(f.p, n, s, out)
 
+
+def _relcomp_checks(f: HomogPoly, q: int, mode: str) -> CompressedReport:
     d = f.deg
     n = f.n
     if q <= d:
         raise ValueError(f"require q > deg f (got q={q}, deg f={d})")
-    phi = linkage.link_inverse_poly(f, q)
+    phi = link_inverse_poly(f, q)
     s = n * (q - 1) - d
     if mode == "quick":
         degrees = [(s + 1) // 2]

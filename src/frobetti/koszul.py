@@ -34,7 +34,7 @@ import numpy as np
 
 from .ffla import FMatrix, rank, reduce_rows
 from .invsys import ann_piece, dprime_basis
-from .polyring import DividedElem, basis, dim_P, mul_ranks
+from .polyring import DividedElem, basis, dim_P, mul_ranks, stack_products
 
 _KINDS = ("kappa", "eta", "eta_prime", "kos")
 
@@ -239,11 +239,8 @@ class TruncatedLedger:
 
 def _span_rank(p: int, n: int, vecs: np.ndarray, i: int) -> int:
     """rank of P_1 · (row space of vecs), vecs over the degree-(i-1) basis."""
-    k = vecs.shape[0]
-    prods = np.zeros((n * k, dim_P(n, i)), dtype=np.int64)
-    for t in range(n):
-        prods[t * k : (t + 1) * k, _mult_map(n, i - 1, t)] = vecs
-    return rank(FMatrix.of(p, prods))
+    maps = [_mult_map(n, i - 1, t) for t in range(n)]
+    return rank(FMatrix.of(p, stack_products(vecs, maps, dim_P(n, i))))
 
 
 def truncated_degree_ledger(phi: DividedElem, m: int) -> TruncatedLedger:

@@ -16,32 +16,14 @@ at large q this replaces hundreds of eliminations with two.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .ffla import FMatrix, Prime, block_rref, is_power_of, rank, reduce_rows, rref
-from .invsys import MultigradeSplitter, _relcomp_checks, bbasis, bhat_kernel, dim_B
-from .polyring import DividedElem, HomogPoly, basis, dim_P, mul_ranks
-
-
-def link_inverse_poly(f: HomogPoly, q: int) -> DividedElem:
-    """Inverse polynomial of J_q: divided monomial exponents q-1-a, term by term."""
-    d = f.deg
-    if d >= q:
-        raise ValueError(f"require deg f < q (got deg f={d}, q={q})")
-    if d <= 1:
-        warnings.warn("degree-1 f accepted for smoke tests only", RuntimeWarning, stacklevel=2)
-    n = f.n
-    s = n * (q - 1) - d
-    tgt = basis(n, s)
-    out = np.zeros(tgt.size, dtype=np.int64)
-    for m, c in f.terms():
-        g = tuple(q - 1 - e for e in m)
-        out[tgt.rank(g)] = c
-    return DividedElem(f.p, n, s, out)
+from .invsys import MultigradeSplitter, _relcomp_checks, bbasis, bhat_kernel, dim_B, link_inverse_poly
+from .polyring import DividedElem, HomogPoly, basis, dim_P, mul_ranks, stack_products
 
 
 @lru_cache(maxsize=None)
@@ -53,14 +35,7 @@ def _bshift(n: int, q: int, i: int, t: int) -> np.ndarray:
 
 def _mul_into_B(vecs: np.ndarray, n: int, q: int, i: int) -> np.ndarray:
     """π_B(x_t · v) for all variables t, stacked: (n·k) × |B_{i+1}| rows."""
-    k = vecs.shape[0]
-    w = bbasis(n, i + 1, q).size
-    out = np.zeros((n * k, w), dtype=np.int64)
-    for t in range(n):
-        sh = _bshift(n, q, i, t)
-        ok = sh >= 0
-        out[t * k : (t + 1) * k, sh[ok]] = vecs[:, ok]
-    return out
+    return stack_products(vecs, [_bshift(n, q, i, t) for t in range(n)], bbasis(n, i + 1, q).size)
 
 
 def _bkernel(phi: DividedElem, i: int, q: int) -> FMatrix:
@@ -116,10 +91,9 @@ def _count_at_q(phi: DividedElem, q: int, n: int, kprev: FMatrix, kq: FMatrix):
     full_q = basis(n, q)
     if kprev.rows == 0:
         return n + kq.rows, True
-    prods = np.zeros((n * kprev.rows, full_q.size), dtype=np.int64)
     src = bbasis(n, q - 1, q).exps
-    for t, x_t in enumerate(np.eye(n, dtype=np.int64)):
-        prods[t * kprev.rows : (t + 1) * kprev.rows, mul_ranks(q - 1, src, x_t)] = kprev.a
+    maps = [mul_ranks(q - 1, src, x_t) for x_t in np.eye(n, dtype=np.int64)]
+    prods = stack_products(kprev.a, maps, full_q.size)
     R, r, _ = rref(FMatrix.of(p, prods))
     cvecs = np.zeros((n, full_q.size), dtype=np.int64)
     cvecs[np.arange(n), full_q.rank_rows(q * np.eye(n, dtype=np.int64))] = 1

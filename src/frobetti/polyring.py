@@ -105,6 +105,18 @@ def mul_ranks(a: int, exps: np.ndarray, m) -> np.ndarray:
     return basis(m.size, a + int(m.sum())).rank_rows(exps + m)
 
 
+def stack_products(vecs: np.ndarray, maps, width: int) -> np.ndarray:
+    """x_t · rows, stacked over t: block t of the (len(maps)·k) × width
+    result is the k rows of vecs scattered by the index map maps[t] (as
+    mul_ranks builds them); a negative index drops its column."""
+    k = vecs.shape[0]
+    out = np.zeros((len(maps) * k, width), dtype=np.int64)
+    for t, sh in enumerate(maps):
+        ok = sh >= 0
+        out[t * k : (t + 1) * k, sh[ok]] = vecs[:, ok]
+    return out
+
+
 def mono_degree(m) -> int:
     return int(sum(m))
 

@@ -49,6 +49,11 @@ def test_math_precondition_is_exit_3(capsys):
     )
     assert rc == 3
     assert "degree_cap" in err
+    with pytest.raises(SystemExit) as e:
+        main(["betti", "--help"])
+    assert e.value.code == 0
+    helptext = " ".join(capsys.readouterr().out.split())
+    assert "columns past it are unexplored, not certified zero" in helptext
 
 
 def test_threads_flag_sets_blas_env(capsys, monkeypatch):

@@ -161,7 +161,9 @@ def test_multi_panel_agrees_with_naive(monkeypatch):
     monkeypatch.setattr(ffla, "_PANEL", 3)
     monkeypatch.setattr(ffla, "_SLAB", 5)
     rng = np.random.RandomState(11)
-    for p in (2, 5, 101):
+    # 2^31 - 1 sends the seam, top-row and trailing products through
+    # _mulmod's int64-chunk branch
+    for p in (2, 5, 101, 2**31 - 1):
         for _ in range(25):
             m = rng.randint(1, 14)
             w = rng.randint(1, 14)

@@ -103,6 +103,8 @@ def _q_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad q list {text!r}")
     if not qs:
         raise argparse.ArgumentTypeError("empty q list")
+    if min(qs) < 1:
+        raise argparse.ArgumentTypeError(f"q must be >= 1 (got q={min(qs)})")
     return qs
 
 

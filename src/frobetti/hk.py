@@ -51,6 +51,8 @@ def hk_formula(d: int, q: int) -> Fraction:
 
 def hk_direct(f: HomogPoly, q: int) -> HKReport:
     """Length of R/m^[q] by degreewise rank, with the mirror shortcut."""
+    if q < 1:
+        raise ValueError(f"q must be >= 1 (got q={q})")
     p, n, d = f.p, f.n, f.deg
     s = n * (q - 1)
     half = (s + d) // 2

@@ -60,26 +60,12 @@ def _contr_map(n: int, b: int, t: int) -> np.ndarray:
     return out
 
 
-def _kappa_matrix(p: int, n: int, a: int, b: int) -> FMatrix:
+def _wedge_boundary(p: int, n: int, a: int, b: int, step: int) -> FMatrix:
+    """Λ^a ⊗ S_b → Λ^(a-1) ⊗ S_(b+step): multiplication by X_t (step +1,
+    kappa) or contraction by X_t (step −1, eta) at each wedge position."""
     Wa = _wedges(n, a)
     Wt = _wedges(n, a - 1)
-    ds, dt = dim_P(n, b), dim_P(n, b + 1)
-    M = np.zeros((len(Wa) * ds, len(Wt) * dt), dtype=np.int64)
-    tpos = {T: i for i, T in enumerate(Wt)}
-    idx = np.arange(ds)
-    for wi, T in enumerate(Wa):
-        for r, t in enumerate(T):
-            sign = 1 if r % 2 == 0 else p - 1
-            rest = T[:r] + T[r + 1 :]
-            M[wi * ds + idx, tpos[rest] * dt + _mult_map(n, b, t)] = sign
-    return FMatrix.of(p, M)
-
-
-def _eta_matrix(p: int, n: int, a: int, b: int) -> FMatrix:
-    Wa = _wedges(n, a)
-    Wt = _wedges(n, a - 1)
-    ds = dim_P(n, b)
-    dt = dim_P(n, b - 1) if b >= 1 else 0
+    ds, dt = dim_P(n, b), dim_P(n, b + step)
     M = np.zeros((len(Wa) * ds, len(Wt) * dt), dtype=np.int64)
     if dt:
         tpos = {T: i for i, T in enumerate(Wt)}
@@ -87,9 +73,9 @@ def _eta_matrix(p: int, n: int, a: int, b: int) -> FMatrix:
             for r, t in enumerate(T):
                 sign = 1 if r % 2 == 0 else p - 1
                 rest = T[:r] + T[r + 1 :]
-                cm = _contr_map(n, b, t)
-                ok = cm >= 0
-                M[wi * ds + np.nonzero(ok)[0], tpos[rest] * dt + cm[ok]] = sign
+                tgt = _mult_map(n, b, t) if step > 0 else _contr_map(n, b, t)
+                ok = np.flatnonzero(tgt >= 0)
+                M[wi * ds + ok, tpos[rest] * dt + tgt[ok]] = sign
     return FMatrix.of(p, M)
 
 
@@ -176,9 +162,9 @@ def strand_matrix(
     if not (0 <= a <= n) or b < 0:
         raise ValueError(f"strand index ({a}, {b}) out of range")
     if kind in ("kappa", "kos"):
-        return StrandMatrix(kind, a, b, _kappa_matrix(p, n, a, b))
+        return StrandMatrix(kind, a, b, _wedge_boundary(p, n, a, b, 1))
     if kind == "eta":
-        return StrandMatrix(kind, a, b, _eta_matrix(p, n, a, b))
+        return StrandMatrix(kind, a, b, _wedge_boundary(p, n, a, b, -1))
     if phi is None:
         raise ValueError("eta_prime requires φ")
     if b > phi.deg:

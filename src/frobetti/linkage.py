@@ -7,11 +7,12 @@ with all exponents < q).  Generator counting works entirely in B-coordinates:
 for i ≥ q+1 the degree-q part of the span is automatic (c_i = P_1·c_{i-1}),
 so new generators at degree i are dim K̂_i − dim π_B(P_1·K̂_{i-1}).
 
-Two measurement modes share that arithmetic.  The literal scan computes the
-kernel at every degree q..s+1.  When the quick compressedness check passes,
-dim K̂_i = max(0, |B_i| − |B_{s-i}|) in every degree, so kernels are only
-extracted at degrees where the running span falls short of that dimension —
-at large q this replaces hundreds of eliminations with two.
+One span scan, `_profile_scan`, does that arithmetic.  The literal profile
+runs it with the kernel at every degree 1..s+1.  When the link is
+relatively compressed (the kernel at ⌈s/2⌉ has its expected dimension),
+dim K̂_i = max(0, |B_i| − |B_{s-i}|) in every degree, so the scan extracts
+kernels only at degrees where the running span falls short of that
+dimension — at large q this replaces hundreds of eliminations with two.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ffla import FMatrix, Prime, block_rref, is_power_of, rank, reduce_rows, rref
-from .invsys import MultigradeSplitter, _relcomp_checks, bbasis, bhat_kernel, dim_B, link_inverse_poly
+from .invsys import MultigradeSplitter, bbasis, bhat_kernel, dim_B, is_relatively_compressed, link_inverse_poly
 from .polyring import DividedElem, HomogPoly, basis, dim_P, mul_ranks, stack_products
 
 
@@ -104,68 +105,58 @@ def _count_at_q(phi: DividedElem, q: int, n: int, kprev: FMatrix, kq: FMatrix):
     return total - r, with_ci - r == n
 
 
-def _profile_literal(phi: DividedElem, q: int, n: int) -> GeneratorProfile:
-    p = phi.p
-    s = phi.deg
+def _profile_scan(phi: DividedElem, q: int, degrees, vecs: np.ndarray, counts: dict[int, int],
+                  expected=None) -> np.ndarray:
+    """Record dim K̂_i − rank π_B(P_1·K̂_{i-1}) new generators at each degree
+    i.  vecs spans K̂ one degree below the first; returns rows spanning K̂ at
+    the last.  Where expected(i) = dim K̂_i is given, a span that reaches it
+    is K̂_i and no kernel is extracted; any other kernel dimension raises."""
+    p, n = phi.p, phi.n
     sp = MultigradeSplitter.of(phi)
-    counts: dict[int, int] = {}
-    ci_minimal = True
-    kprev = FMatrix.zeros(p, 0, bbasis(n, 0, q).size)
-    for i in range(1, s + 2):
-        ki = _bkernel(phi, i, q)
-        if i == q:
-            mu, ci_minimal = _count_at_q(phi, q, n, kprev, ki)
+    for i in degrees:
+        bi = bbasis(n, i, q)
+        if len(vecs):
+            span = _mul_into_B(vecs, n, q, i - 1)
+            basis_rows, r = _grouped_rref(p, span, sp.keys(bi.exps)[0])
         else:
-            if kprev.rows:
-                span = _mul_into_B(kprev.a, n, q, i - 1)
-                _, r = _grouped_rref(p, span, sp.keys(bbasis(n, i, q).exps)[0])
-            else:
-                r = 0
-            mu = ki.rows - r
-        if mu:
-            counts[i] = mu
-        kprev = ki
-    return GeneratorProfile(counts=counts, ci_minimal=ci_minimal)
-
-
-def _profile_fast(phi: DividedElem, q: int, n: int, seed: FMatrix | None) -> GeneratorProfile:
-    """Span scan that reads dim K̂_i from the compressed Hilbert function and
-    only extracts kernels at degrees where new generators actually appear."""
-    p = phi.p
-    s = phi.deg
-    sp = MultigradeSplitter.of(phi)
-    counts: dict[int, int] = {q: n}
-    if seed is not None:
-        i_start = (s + 1) // 2
-        counts[i_start] = seed.rows
-        vecs = seed.a
-    else:
-        i_start = s // 2
-        vecs = np.zeros((0, bbasis(n, i_start, q).size), dtype=np.int64)
-    for i in range(i_start + 1, s + 2):
-        exp_dim = bbasis(n, i, q).size - (dim_B(n, s - i, q) if i <= s else 0)
-        span = _mul_into_B(vecs, n, q, i - 1)
-        basis_rows, r = _grouped_rref(p, span, sp.keys(bbasis(n, i, q).exps)[0])
-        if r == exp_dim:
+            basis_rows, r = np.zeros((0, bi.size), dtype=np.int64), 0
+        if expected is not None and r == expected(i):
             vecs = basis_rows
             continue
         ki = _bkernel(phi, i, q)
-        if ki.rows != exp_dim:
+        if expected is not None and ki.rows != expected(i):
             raise RuntimeError(
                 f"compressed Hilbert function violated at degree {i}: "
-                f"kernel dim {ki.rows} != {exp_dim}"
+                f"kernel dim {ki.rows} != {expected(i)}"
             )
-        counts[i] = exp_dim - r
+        if ki.rows > r:
+            counts[i] = ki.rows - r
         vecs = ki.a
-    return GeneratorProfile(counts=counts, ci_minimal=True)
+    return vecs
+
+
+def _profile_literal(phi: DividedElem, q: int, n: int) -> GeneratorProfile:
+    """Kernels at every degree 1..s+1, with degree q counted in full P_q."""
+    s = phi.deg
+    counts: dict[int, int] = {}
+    kprev = _profile_scan(phi, q, range(1, min(q, s + 2)), np.zeros((0, 1), dtype=np.int64), counts)
+    if q > s + 1:  # n = 1: the scan ends below q
+        return GeneratorProfile(counts=counts, ci_minimal=True)
+    kq = _bkernel(phi, q, q)
+    mu, ci_minimal = _count_at_q(phi, q, n, FMatrix.of(phi.p, kprev), kq)
+    if mu:
+        counts[q] = mu
+    _profile_scan(phi, q, range(q + 1, s + 2), kq.a, counts)
+    return GeneratorProfile(counts=counts, ci_minimal=ci_minimal)
 
 
 def measured_generator_profile(f: HomogPoly, q: int, thorough: bool = False) -> GeneratorProfile:
     """Degrees and counts of minimal generators of J_q, by span growth.
 
-    thorough=True forces the degree-by-degree kernel scan; by default the
-    compressed shortcut is used whenever the quick check passes (the two
-    modes agree — the fast path verifies every span dimension it uses).
+    thorough=True takes the kernel at every degree; by default, when the
+    link is relatively compressed, the same span scan reads dim K̂_i off
+    the compressed Hilbert function instead (the two modes agree — the
+    scan verifies every span dimension it uses).
     """
     phi = link_inverse_poly(f, q)
     n = f.n
@@ -173,16 +164,21 @@ def measured_generator_profile(f: HomogPoly, q: int, thorough: bool = False) -> 
     # the shortcut needs every degree <= q to sit at or below the middle
     # (for n=3 this is q >= d+3), so that J has only the n CI generators there
     if not thorough and 2 * q <= s:
-        if s % 2 == 0:
-            if _relcomp_checks(f, q, "quick").verdict:
-                return _profile_fast(phi, q, n, seed=None)
-        else:
-            # the quick check at ⌈s/2⌉ is the same elimination that yields
-            # the first kernel, so extract vectors and test the dimension
-            i1 = (s + 1) // 2
-            k1 = _bkernel(phi, i1, q)
-            if k1.rows == bbasis(n, i1, q).size - dim_B(n, s - i1, q):
-                return _profile_fast(phi, q, n, seed=k1)
+
+        def expected(i: int) -> int:
+            return bbasis(n, i, q).size - (dim_B(n, s - i, q) if i <= s else 0)
+
+        # the quick compressedness check at ⌈s/2⌉ is the same elimination
+        # that yields the first kernel: the link is compressed iff its
+        # dimension is the expected one
+        i1 = (s + 1) // 2
+        k1 = _bkernel(phi, i1, q)
+        if k1.rows == expected(i1):
+            counts = {q: n}
+            if k1.rows:
+                counts[i1] = k1.rows
+            _profile_scan(phi, q, range(i1 + 1, s + 2), k1.a, counts, expected)
+            return GeneratorProfile(counts=counts, ci_minimal=True)
     return _profile_literal(phi, q, n)
 
 
@@ -346,7 +342,7 @@ def require_ku_shift(f: HomogPoly, q0: int, q1: int) -> None:
     if q0 < d + 3:
         raise ValueError(f"require q0 >= d+3 (got q0={q0}, d={d})")
     for q in (q0, q1):
-        if not _relcomp_checks(f, q, "quick").verdict:
+        if not is_relatively_compressed(f, q):
             raise ValueError(f"link not relatively compressed at q={q}")
 
 

@@ -415,6 +415,8 @@ def _minimal_ideal_gens(ops, gens: list[HomogPoly]) -> list[HomogPoly]:
 
 
 def _ci_gens(p: Prime, n: int, q: int) -> list[HomogPoly]:
+    if q < 1:
+        raise ValueError(f"q must be >= 1 (got q={q})")
     out = []
     for t in range(n):
         e = [0] * n
@@ -454,6 +456,22 @@ def _build_table(ring: str, steps: int, maps) -> BettiTable:
     return BettiTable(ring, steps, entries)
 
 
+def _resolve(ring: str, f, q: int, ops, gens: list[HomogPoly], steps: int, cap, hard_cap: bool) -> Resolution:
+    """The resolution driver: minimal generators, the first map, then one
+    syzygy step per homological degree up to steps.  cap(i, prev) is the
+    last internal degree step i scans for the kernel of the map prev; a
+    step after an empty one is empty."""
+    gens = _minimal_ideal_gens(ops, gens)
+    maps = [GradedFreeMap(tuple(g.deg for g in gens), (0,), tuple((g,) for g in gens))]
+    for i in range(2, steps + 1):
+        prev = maps[-1]
+        if prev.src_degs:
+            maps.append(_syzygy_step(ops, prev, cap(i, prev), hard_cap=hard_cap))
+        else:
+            maps.append(GradedFreeMap((), prev.src_degs, ()))
+    return Resolution(ring, q, f, tuple(maps), _build_table(ring, steps, maps), ops)
+
+
 def resolve_over_P(
     f: HomogPoly | None, q: int, *, p=None, n: int = 3
 ) -> Resolution:
@@ -468,21 +486,9 @@ def resolve_over_P(
     elif p is None:
         raise ValueError("p is required when f is omitted")
     p = p if isinstance(p, Prime) else Prime(p)
-    ops = _PlainSlices(p, n)
     gens = _ci_gens(p, n, q) + ([f] if f is not None else [])
-    gens = _minimal_ideal_gens(ops, gens)
     top = len(quotient_hilbert(f, q, p=p, n=n)) - 1
-    maps = [
-        GradedFreeMap(
-            tuple(g.deg for g in gens), (0,), tuple((g,) for g in gens)
-        )
-    ]
-    for i in range(2, n + 1):
-        if not maps[-1].src_degs:
-            maps.append(GradedFreeMap((), maps[-1].src_degs, ()))
-            continue
-        maps.append(_syzygy_step(ops, maps[-1], top + i, hard_cap=False))
-    return Resolution("P", q, f, tuple(maps), _build_table("P", n, maps), ops)
+    return _resolve("P", f, q, _PlainSlices(p, n), gens, n, lambda i, prev: top + i, False)
 
 
 def betti_over_P(f: HomogPoly | None, q: int, *, p=None, n: int = 3) -> BettiTable:
@@ -500,22 +506,11 @@ def resolve_over_R(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    ops = QuotientBasis(f)
-    gens = _minimal_ideal_gens(ops, _ci_gens(f.p, f.n, q))
-    maps = [
-        GradedFreeMap(
-            tuple(g.deg for g in gens), (0,), tuple((g,) for g in gens)
-        )
-    ]
-    for _ in range(2, steps + 1):
-        if not maps[-1].src_degs:
-            maps.append(GradedFreeMap((), maps[-1].src_degs, ()))
-            continue
-        cap = degree_cap
-        if cap is None:
-            cap = max(maps[-1].src_degs) + q + f.deg
-        maps.append(_syzygy_step(ops, maps[-1], cap, hard_cap=True))
-    return Resolution("R", q, f, tuple(maps), _build_table("R", steps, maps), ops)
+
+    def cap(i: int, prev: GradedFreeMap) -> int:
+        return max(prev.src_degs) + q + f.deg if degree_cap is None else degree_cap
+
+    return _resolve("R", f, q, QuotientBasis(f), _ci_gens(f.p, f.n, q), steps, cap, True)
 
 
 def betti_over_R(

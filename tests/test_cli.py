@@ -37,6 +37,21 @@ def test_allow_any_q_overrides(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "-p", "5", "-f", CYC3, "-q", "0", "--allow-any-q"],
+        ["betti", "-p", "5", "-f", CYC3, "-q", "-5", "--allow-any-q"],
+        ["hk", "-p", "5", "-f", CYC3, "-q", "5,-5", "--allow-any-q"],
+    ],
+)
+def test_q_below_one_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "q must be >= 1" in capsys.readouterr().err
+
+
 def test_non_prime_p_rejected(capsys):
     with pytest.raises(SystemExit) as e:
         main(["check-compressed", "-p", "6", "-f", CYC3, "-q", "6"])

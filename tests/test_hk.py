@@ -124,3 +124,9 @@ def test_series_check_inapplicable_four_variables():
     f = random_compressed_search(3, 4, 2, 9, seed=3)
     assert f.n == 4
     assert hilbert_series_check(f, 9) == "inapplicable"
+
+
+@pytest.mark.parametrize("q", [0, -5])
+def test_hk_direct_refuses_q_below_one(q):
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        hk_direct(P("xy2 + yz2 + zx2", 5), q)

@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from frobetti.invsys import Rng64, is_relatively_compressed, random_compressed_search
 from frobetti.linkage import (
@@ -9,7 +11,8 @@ from frobetti.linkage import (
     socle_direct,
     socle_via_link,
 )
-from frobetti.polyring import DividedElem, HomogPoly, parse_poly
+from frobetti.koszul import truncated_degree_ledger
+from frobetti.polyring import DividedElem, HomogPoly, dim_P, parse_poly
 
 
 def P(s, p, n=3):
@@ -104,6 +107,37 @@ def test_profile_annihilator_with_low_degree_generators():
     prof = measured_generator_profile(f, 5, thorough=True)
     assert min(prof.counts) < 5
     assert prof.total == sum(prof.counts.values())
+
+
+@st.composite
+def _forms_at_q_equal_p(draw):
+    """An n = 3 form of degree d over GF(p), with q = p: full supports are
+    mostly compressed, sparse ones mostly not; s has the parity of d."""
+    p = draw(st.sampled_from([7, 11]))
+    d = draw(st.integers(2, 4))
+    size = dim_P(3, d)
+    support = draw(st.one_of(st.just(set(range(size))), st.sets(st.integers(0, size - 1), min_size=1)))
+    coef = np.zeros(size, dtype=np.int64)
+    for k in sorted(support):
+        coef[k] = draw(st.integers(1, p - 1))
+    return HomogPoly(p, 3, d, coef), p
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(_forms_at_q_equal_p())
+# the examples pin both parities of s, and odd s (d = 3) both compressed
+# and not, whatever the draws
+@example((P("x4 + y4 + z4", 7), 7))
+@example((P("xy2 + yz2 + zx2", 11), 11))
+@example((P("x2y + z3", 11), 11))
+def test_profile_paths_agree_property(case):
+    # the compressed scan, the every-degree scan and the truncation ledger
+    # (full coordinates, no shared loop) count the same generators
+    f, q = case
+    fast = measured_generator_profile(f, q)
+    slow = measured_generator_profile(f, q, thorough=True)
+    assert fast == slow
+    assert fast.counts == truncated_degree_ledger(link_inverse_poly(f, q), 1).measured
 
 
 # --- predicted profiles ------------------------------------------------------

@@ -312,3 +312,14 @@ def test_over_R_exact_at_largest_admitted_prime():
     res = resolve_over_R(f, 5, 4)
     assert res.table.totals() == [1, 3, 4, 4, 4]
     audit_resolution(res)
+
+
+@pytest.mark.parametrize("q", [0, -5])
+def test_resolutions_refuse_q_below_one(q):
+    f = parse_poly(CYC3, 5, 3)
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        resolve_over_R(f, q, 3)
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        resolve_over_P(f, q)
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        resolve_over_P(None, q, p=5)

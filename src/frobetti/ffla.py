@@ -15,6 +15,12 @@ accumulator provably fits in 2^53 (exact in that regime), with a chunked
 int64 fallback for large p.  The reduced row echelon form over a field is
 unique, so panel size and BLAS threading cannot change any result bit.
 
+`rank` runs the same pivot loop and panels with reduced=False, a
+forward-only (CUP/PLUQ-style) elimination: nothing above a pivot is
+cleared, a pivot updates only the rows below it that its column hits, a
+panel's trailing product reaches only the rows still without a pivot that
+its pivot columns hit, and rows never move.
+
 `block_rref` and `block_kernel` take a matrix that is block-diagonal over
 column classes as its blocks and eliminate class by class; they are the one
 kernel implementation (`kernel_basis` is the one-class case).
@@ -107,9 +113,11 @@ def _mulmod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
-def _plain_gauss_jordan(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    """Unblocked in-place RREF; returns pivot columns and the row order left
-    (order[j] = the input row now at j: pivot rows first, in pivot order)."""
+def _plain_gauss_jordan(a: np.ndarray, p: int, reduced: bool = True) -> tuple[list[int], np.ndarray]:
+    """Unblocked in-place elimination; returns pivot columns and the row
+    order left (order[j] = the input row now at j: pivot rows first, in
+    pivot order).  reduced=True leaves the RREF; reduced=False clears only
+    below each pivot, which leaves an echelon form of the same rank."""
     m, w = a.shape
     order = np.arange(m)
     piv: list[int] = []
@@ -124,12 +132,15 @@ def _plain_gauss_jordan(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
         if i != r:
             a[[r, i]] = a[[i, r]]
             order[[r, i]] = order[[i, r]]
-        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
-        fac = a[:, c].copy()
-        fac[r] = 0
-        hit = np.nonzero(fac)[0]
+        # a[r, :c] is already zero, so every row operation starts at c
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
+        lo = 0 if reduced else r + 1
+        fac = a[lo:, c].copy()
+        if reduced:
+            fac[r] = 0
+        hit = lo + np.nonzero(fac)[0]
         if hit.size:
-            a[hit] = (a[hit] - np.outer(fac[hit], a[r])) % p
+            a[hit, c:] = (a[hit, c:] - np.outer(fac[hit - lo], a[r, c:])) % p
         piv.append(c)
         r += 1
     return piv, order
@@ -145,7 +156,7 @@ def inv_small(M: np.ndarray, p: int) -> np.ndarray:
     return a[:, k:]
 
 
-def _gauss_jordan(a: np.ndarray, p: int) -> list[int]:
+def _gauss_jordan(a: np.ndarray, p: int, reduced: bool = True) -> list[int]:
     """In-place RREF of a residue matrix; returns pivot columns.
 
     `perm` lists the rows in echelon order, the pivot rows found so far
@@ -153,13 +164,20 @@ def _gauss_jordan(a: np.ndarray, p: int) -> list[int]:
     _plain_gauss_jordan on the rows not yet holding a pivot.  With C the
     initial entries of all rows in the new pivot columns and F the inverse
     of the new pivot rows' initial minor, the new pivot rows finish as F
-    times their initial values and every other row subtracts C times those:
-    the earlier pivot rows in the panel's columns, every row in the
-    trailing columns, each a product with inner dimension the panel rank.
+    times their initial values and every other row subtracts G = C F times
+    those initial values: the earlier pivot rows in the panel's columns,
+    every row in the trailing columns, each a product with inner dimension
+    the panel rank.
+
+    reduced=False finds the same pivot columns for `rank` and leaves no
+    RREF: it never clears above a pivot, so the earlier pivot rows are not
+    touched, the pivot rows keep their initial trailing entries, only the
+    rows still without a pivot that the panel's pivot columns hit take the
+    trailing product, and no row moves at the end.
     """
     m, w = a.shape
     if w <= _PANEL:
-        return _plain_gauss_jordan(a, p)[0]
+        return _plain_gauss_jordan(a, p, reduced)[0]
     perm = np.arange(m)
     npiv = 0
     pivots: list[int] = []
@@ -168,7 +186,7 @@ def _gauss_jordan(a: np.ndarray, p: int) -> list[int]:
             break
         c1 = min(c0 + _PANEL, w)
         sub = a[perm[npiv:], c0:c1]
-        pcols, order = _plain_gauss_jordan(sub, p)
+        pcols, order = _plain_gauss_jordan(sub, p, reduced)
         k = len(pcols)
         if k == 0:
             continue
@@ -177,19 +195,33 @@ def _gauss_jordan(a: np.ndarray, p: int) -> list[int]:
         C = a[:, c0 + np.asarray(pcols)]
         if c1 < w:
             F = inv_small(C[prows], p)
-            C[prows] = 0
+            if reduced:
+                C[prows] = 0
+                rows = slice(None)
+            else:
+                live = perm[npiv + k:]
+                rows = live[C[live].any(axis=1)]
+            G = _mulmod(C[rows], F, p)
             for u0 in range(c1, w, _SLAB):
                 T = a[:, u0:u0 + _SLAB]
-                V = _mulmod(F, T[prows], p)
-                T -= _mulmod(C, V, p)
-                T %= p
-                T[prows] = V
-        a[top, c0:c1] = (a[top, c0:c1] - _mulmod(C[top], sub[:k], p)) % p
+                TP = T[prows]
+                if reduced:
+                    T -= _mulmod(G, TP, p)
+                    T %= p
+                    T[prows] = _mulmod(F, TP, p)
+                else:
+                    U = T[rows]
+                    U -= _mulmod(G, TP, p)
+                    U %= p
+                    T[rows] = U
+        if reduced:
+            a[top, c0:c1] = (a[top, c0:c1] - _mulmod(C[top], sub[:k], p)) % p
         a[perm[npiv:], c0:c1] = sub
         pivots += [c0 + c for c in pcols]
         npiv += k
-    moved = np.flatnonzero(perm != np.arange(m))
-    a[moved] = a[perm[moved]]
+    if reduced:
+        moved = np.flatnonzero(perm != np.arange(m))
+        a[moved] = a[perm[moved]]
     return pivots
 
 
@@ -270,8 +302,9 @@ def rref(M: FMatrix) -> tuple[FMatrix, int, list[int]]:
 
 
 def rank(M: FMatrix) -> int:
+    """Rank by forward elimination only (no RREF is formed)."""
     a = M.a.copy()
-    return len(_gauss_jordan(a, M.p))
+    return len(_gauss_jordan(a, M.p, reduced=False))
 
 
 def kernel_basis(M: FMatrix) -> FMatrix:

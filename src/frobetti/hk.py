@@ -4,10 +4,13 @@ HK(q) is the length of R/(x_1^q,...,x_n^q)R for R = P/(f), computed one
 degree at a time inside the monomial complete intersection quotient
 A = P/(x_1^q,...,x_n^q): products with any exponent >= q die on the
 truncated monomial basis, so multiplication by f acts there directly and
-dim (A/fA)_j is the basis count minus a rank.  A is artinian Gorenstein
-with socle degree s = n(q-1), and multiplication by f is self-adjoint
-for the socle pairing, so the rank landing in degree j equals the rank
-landing in degree s+d-j; only half the degrees need elimination.
+dim (A/fA)_j is the basis count minus a rank (`linkage.quotient_hilbert`).
+That matrix is block-diagonal over the multidegree classes of f's
+support, so each rank is a sum of block ranks (`linkage.fmul_rank`), each
+found by forward elimination alone.  A is artinian Gorenstein with socle
+degree s = n(q-1), and multiplication by f is self-adjoint for the socle
+pairing, so the rank landing in degree j equals the rank landing in
+degree s+d-j; only half the degrees need elimination.
 
 The closed form (3/4)dq^2 - (d^3-d)/12 holds for forms whose link is
 relatively compressed with d and the characteristic of opposite parity;
@@ -23,9 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffla import FMatrix, rank
-from .invsys import dim_B, is_relatively_compressed
-from .linkage import _fmul_rows
+from .invsys import is_relatively_compressed
+from .linkage import quotient_hilbert
 from .polyring import HomogPoly
 
 
@@ -50,26 +52,16 @@ def hk_formula(d: int, q: int) -> Fraction:
 
 
 def hk_direct(f: HomogPoly, q: int) -> HKReport:
-    """Length of R/m^[q] by degreewise rank, with the mirror shortcut."""
+    """Length of R/m^[q]: the sum of linkage.quotient_hilbert(f, q)."""
     if q < 1:
         raise ValueError(f"q must be >= 1 (got q={q})")
-    p, n, d = f.p, f.n, f.deg
-    s = n * (q - 1)
-    half = (s + d) // 2
-    ranks = np.zeros(s + d + 1, dtype=np.int64)
-    for j in range(d, half + 1):
-        ranks[j] = rank(FMatrix.of(p, _fmul_rows(f, q, j)))
-    for j in range(half + 1, s + 1):
-        ranks[j] = ranks[s + d - j]
-    profile = [dim_B(n, j, q) - int(ranks[j]) for j in range(s + 1)]
-    while profile and profile[-1] == 0:
-        profile.pop()
+    profile = quotient_hilbert(f, q)
     return HKReport(
         q=q,
         direct=sum(profile),
-        formula=hk_formula(d, q) if n == 3 else None,
+        formula=hk_formula(f.deg, q) if f.n == 3 else None,
         profile=tuple(profile),
-        opposite_parity=(int(p) - d) % 2 == 1,
+        opposite_parity=(int(f.p) - f.deg) % 2 == 1,
     )
 
 

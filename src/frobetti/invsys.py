@@ -156,8 +156,8 @@ class MultigradeSplitter:
         self.R, self.d = _diagonalize_lattice(diffs)
 
     @classmethod
-    def of(cls, phi: DividedElem) -> "MultigradeSplitter":
-        """The splitter of a nonzero φ's support."""
+    def of(cls, phi: DividedElem | HomogPoly) -> "MultigradeSplitter":
+        """The splitter of a nonzero φ's (or form's) support."""
         return cls(basis(phi.n, phi.deg).exps[np.nonzero(phi.coef)[0]])
 
     def labels(self, exps: np.ndarray) -> np.ndarray:

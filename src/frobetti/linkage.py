@@ -230,6 +230,51 @@ def _fmul_rows(f: HomogPoly, q: int, j: int) -> np.ndarray:
     return out
 
 
+def fmul_rank(f: HomogPoly, q: int, j: int) -> int:
+    """rank of π_B(f·B_{j-d}) inside B_j, summed over f's multidegree classes.
+
+    Row m reaches only the columns m + t for t in f's support, so the
+    matrix is block-diagonal over the classes of m + t0 (rows) and of the
+    target monomial (columns), and its rank is the sum of the block ranks.
+    """
+    M = _fmul_rows(f, q, j)
+    if not M.any():
+        return 0
+    sp = MultigradeSplitter.of(f)
+    rkey, ckey = sp.keys(bbasis(f.n, j - f.deg, q).exps + sp.t0, bbasis(f.n, j, q).exps)
+    return sum(rank(FMatrix.of(f.p, M[np.ix_(rkey == c, ckey == c)]))
+               for c in np.intersect1d(rkey, ckey))
+
+
+def quotient_hilbert(f: HomogPoly | None, q: int, *, p=None, n: int = 3) -> list[int]:
+    """Hilbert function of A/fA, A = P/(x_1^q..x_n^q), up to its top degree.
+
+    A product with any exponent >= q dies in A, so multiplication by f acts
+    on the truncated monomial bases and the dimension in degree j is |B_j|
+    minus fmul_rank(f, q, j).  A is Gorenstein with socle degree
+    s = n(q-1) and multiplication by f is self-adjoint for the socle
+    pairing, so rank_j = rank_{s+d-j}: only degrees up to (s+d)/2 are
+    eliminated.  With f omitted this is the box A itself.
+    """
+    if f is not None:
+        p, n = f.p, f.n
+    elif p is None:
+        raise ValueError("p is required when f is omitted")
+    Prime(p)  # a bad p is refused even where no rank needs it
+    s = n * (q - 1)
+    ranks = [0] * (s + 1)
+    if f is not None:
+        d = f.deg
+        for j in range(d, (s + d) // 2 + 1):
+            ranks[j] = fmul_rank(f, q, j)
+        for j in range((s + d) // 2 + 1, s + 1):
+            ranks[j] = ranks[s + d - j]
+    hf = [dim_B(n, j, q) - r for j, r in enumerate(ranks)]
+    while hf and hf[-1] == 0:
+        hf.pop()
+    return hf
+
+
 def socle_direct(f: HomogPoly | None, q: int, *, p=None, n: int = 3) -> SocleReport:
     """Socle of P/((x_1^q..x_n^q) + (f)) by simultaneous multiplication kernels.
 

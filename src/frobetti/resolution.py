@@ -33,8 +33,7 @@ import numpy as np
 from .ffla import (
     FMatrix, Prime, _mulmod, inv_small, int64_room, kernel_basis, rank, reduce_rows, rref,
 )
-from .invsys import dim_B
-from .linkage import _fmul_rows
+from .linkage import quotient_hilbert
 from .polyring import HomogPoly, basis, dim_P, mul_ranks
 
 
@@ -423,29 +422,6 @@ def _ci_gens(p: Prime, n: int, q: int) -> list[HomogPoly]:
         e[t] = q
         out.append(HomogPoly.from_terms(p, n, q, {tuple(e): 1}))
     return out
-
-
-def quotient_hilbert(f: HomogPoly | None, q: int, *, p=None, n: int = 3) -> list[int]:
-    """Hilbert function of P/((x_1^q..x_n^q) + (f)), up to its top degree.
-
-    Works in the monomial complete intersection quotient: a product with
-    any exponent >= q dies, so multiplication by f acts on the truncated
-    monomial bases and the dimension in degree j is |B_j| minus its rank.
-    """
-    if f is not None:
-        p, n = f.p, f.n
-    elif p is None:
-        raise ValueError("p is required when f is omitted")
-    p = p if isinstance(p, Prime) else Prime(p)
-    hf = []
-    for j in range(n * (q - 1) + 1):
-        dim = dim_B(n, j, q)
-        if f is not None:
-            dim -= rank(FMatrix.of(p, _fmul_rows(f, q, j)))
-        hf.append(dim)
-    while hf and hf[-1] == 0:
-        hf.pop()
-    return hf
 
 
 def _build_table(ring: str, steps: int, maps) -> BettiTable:

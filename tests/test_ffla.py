@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import frobetti.ffla as ffla
 from frobetti.ffla import (
@@ -175,6 +176,39 @@ def test_multi_panel_agrees_with_naive(monkeypatch):
             exp, expiv = naive_rref(M.tolist(), p)
             assert piv == expiv
             assert R.tolist() == exp
+
+
+@st.composite
+def _rank_cases(draw):
+    p = draw(st.sampled_from([2, 5, 7, 2**31 - 1]))
+    panel = draw(st.integers(1, 5))
+    # widths below, at and across one panel, and empty shapes
+    w = draw(st.sampled_from([0, max(panel - 1, 0), panel, panel + 1, 3 * panel + 2]))
+    m = draw(st.sampled_from([0, 1, 4, 11]))
+    density = draw(st.sampled_from([0.1, 0.4, 1.0]))
+    k = draw(st.integers(0, m + 1))  # m + 1 stands for full rank
+    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    M = rng.randint(0, p, size=(m, w)) * (rng.rand(m, w) < density)
+    if k <= m:
+        # rank <= k: 0/1 combinations of k rows, so panels run out of pivots
+        M = (rng.randint(0, 2, size=(m, k)) @ M[:k]) % p
+    return p, panel, M
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rank_cases())
+def test_rank_equals_rref_rank_property(case):
+    # rank eliminates forward only; rref's pivot count is the oracle
+    p, panel, M = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ffla, "_PANEL", panel)
+        mp.setattr(ffla, "_SLAB", 2)
+        A = FMatrix(p, M)
+        R, r, piv = rref(A)
+        assert rank(A) == r == len(piv)
+        exp, expiv = naive_rref(M.tolist(), p)
+        assert piv == expiv
+        assert R.tolist() == exp
 
 
 def test_default_panel_boundary():

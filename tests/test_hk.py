@@ -44,7 +44,7 @@ def test_direct_cyc4_q7():
 
 
 def test_profile_equals_quotient_hilbert():
-    # same numbers through a path that eliminates every degree separately
+    # the HK profile is the Hilbert function the resolution audits read
     for s, p, q in [("xy3 + yz3 + zx3", 7, 7), ("xy2 + yz2 + zx2", 5, 5)]:
         f = P(s, p)
         r = hk_direct(f, q)

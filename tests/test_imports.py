@@ -12,8 +12,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "frobetti"
 # perfbench/tracer.py wraps these by module attribute name; renaming them
 # public would silently drop their per-layer metrics
 ALLOWED = {
-    ("hk", "linkage", "_fmul_rows"),  # traced as linkage.fmul_rows
-    ("resolution", "linkage", "_fmul_rows"),  # traced as linkage.fmul_rows
     ("resolution", "ffla", "_mulmod"),  # traced as ffla.products
 }
 

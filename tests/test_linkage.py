@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from frobetti.invsys import Rng64, is_relatively_compressed, random_compressed_search
+from frobetti.ffla import FMatrix, rank
+from frobetti.invsys import MultigradeSplitter, Rng64, bbasis, dim_B, is_relatively_compressed, random_compressed_search
 from frobetti.linkage import (
+    _fmul_rows,
+    fmul_rank,
     ku_shift_check,
     link_inverse_poly,
     measured_generator_profile,
     predicted_generator_profile,
+    quotient_hilbert,
     socle_direct,
     socle_via_link,
 )
 from frobetti.koszul import truncated_degree_ledger
-from frobetti.polyring import DividedElem, HomogPoly, dim_P, parse_poly
+from frobetti.polyring import DividedElem, HomogPoly, basis, dim_P, parse_poly
 
 
 def P(s, p, n=3):
@@ -202,6 +206,37 @@ def test_predicted_vs_measured_odd_s():
     mid = (s + 1) // 2
     assert meas.counts[mid] == pred.counts[mid] == d
     assert meas.counts.get(mid + 1, 0) <= pred.bounds[mid + 1]
+
+
+# --- multiplication by f in A = P/m^[q] --------------------------------------
+
+
+def _generic_cubic(p):
+    coef = np.random.RandomState(4).randint(1, p, size=basis(3, 3).size)
+    return HomogPoly(p, 3, 3, coef)
+
+
+@pytest.mark.parametrize("name, f, q, classes", [
+    ("cyc3", P("xy2 + yz2 + zx2", 5), 5, 3),
+    ("cyc4", P("xy3 + yz3 + zx3", 7), 7, 7),
+    ("diag4", P("x4 + y4 + z4", 7), 7, 16),
+    ("generic", _generic_cubic(7), 7, 1),
+])
+def test_fmul_rank_matches_dense_rank(name, f, q, classes):
+    s = 3 * (q - 1)
+    sp = MultigradeSplitter.of(f)
+    seen = 0
+    for j in range(s + f.deg + 1):
+        dense = rank(FMatrix(f.p, _fmul_rows(f, q, j)))
+        assert fmul_rank(f, q, j) == dense, (name, j)
+        rkey, ckey = sp.keys(bbasis(3, j - f.deg, q).exps + sp.t0, bbasis(3, j, q).exps)
+        seen = max(seen, len(set(rkey) & set(ckey)))
+    assert seen == classes
+    # the mirrored degree loop against a dense rank in every degree
+    hf = [dim_B(3, j, q) - rank(FMatrix(f.p, _fmul_rows(f, q, j))) for j in range(s + 1)]
+    while hf[-1] == 0:
+        hf.pop()
+    assert quotient_hilbert(f, q) == hf
 
 
 # --- socles ------------------------------------------------------------------

@@ -25,6 +25,12 @@ its pivot columns hit, and rows never move.
 column classes as its blocks and eliminate class by class; they are the one
 kernel implementation (`kernel_basis` is the one-class case).
 
+`span_scan` is the one span-growth loop: the link profile, the
+truncated ledger and every syzygy step find their minimal generators in
+each degree as a piece (a kernel) modulo the span of the variable shifts
+of the previous degree's piece, and skip the piece wherever its dimension
+is known and the span already reaches it.
+
 `int64_room` is the one statement of how many residue products an int64
 sum holds exactly; `_mulmod` chunks by it, and every other running sum of
 products in the package reduces mod p by it.
@@ -384,6 +390,40 @@ def reduce_rows(R: np.ndarray, piv: list[int], V: np.ndarray, p: int) -> tuple[n
     coeffs = V[:, piv] % p
     resid = (V - _mulmod(coeffs, R[:r], p)) % p
     return coeffs, resid
+
+
+def span_scan(p: Prime, degrees, vecs: np.ndarray, span, piece, expected=None):
+    """Minimal generators degree by degree, by span growth.
+
+    vecs spans the piece one degree below the first.  At each degree i,
+    span(i, vecs) gives reduced echelon rows (leading entry 1, its column
+    zero in every other row) of the variable shifts of vecs, which lie in
+    the piece at i.  Where expected(i) is not None and the span has that
+    dimension, the span is the piece and piece(i) is not called; otherwise
+    piece(i) is taken, and a taken piece of another dimension than
+    expected(i) raises RuntimeError.  A taken piece larger than the span
+    has new generators: the RREF of its rows reduced against the span.
+
+    Returns (new generator rows by degree, dimension of the piece by
+    degree, rows spanning the last piece).
+    """
+    news: dict[int, np.ndarray] = {}
+    dims: dict[int, int] = {}
+    for i in degrees:
+        S = span(i, vecs)
+        want = None if expected is None else expected(i)
+        if want == len(S):
+            dims[i], vecs = want, S
+            continue
+        K = piece(i)
+        if want is not None and K.rows != want:
+            raise RuntimeError(f"piece at degree {i} has dimension {K.rows}, expected {want}")
+        dims[i], vecs = K.rows, K.a
+        if K.rows > len(S):
+            _, resid = reduce_rows(S, np.argmax(S != 0, axis=1), K.a, p)
+            G, r, _ = rref(FMatrix.of(p, resid[resid.any(axis=1)]))
+            news[i] = G.a[:r]
+    return news, dims, vecs
 
 
 def row_space_membership(M: FMatrix, v) -> bool:

@@ -15,7 +15,8 @@ is no longer exact; the homology ranks C_{i,j} of that subcomplex control
 where truncations J_{≥m} of the annihilator ideal pick up generators
 beyond degrees m and m+1: a nonzero C_{1,j} permits generators in degree
 s+1-j.  `truncated_degree_ledger` measures the actual generator degrees
-and checks them against that superset.
+(`ffla.span_scan` in full coordinates, with the pieces of ann(φ)) and
+checks them against that superset.
 
 Matrices follow the row-vector convention (source indexes rows), with the
 tensor basis ordered wedge-major: index = wedge_index * dim + monomial.
@@ -32,7 +33,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .ffla import FMatrix, rank, reduce_rows
+from .ffla import FMatrix, rank, reduce_rows, rref, span_scan
 from .invsys import ann_piece, dprime_basis
 from .polyring import DividedElem, basis, dim_P, mul_ranks, stack_products
 
@@ -223,34 +224,27 @@ class TruncatedLedger:
         return set(self.measured)
 
 
-def _span_rank(p: int, n: int, vecs: np.ndarray, i: int) -> int:
-    """rank of P_1 · (row space of vecs), vecs over the degree-(i-1) basis."""
-    maps = [_mult_map(n, i - 1, t) for t in range(n)]
-    return rank(FMatrix.of(p, stack_products(vecs, maps, dim_P(n, i))))
-
-
 def truncated_degree_ledger(phi: DividedElem, m: int) -> TruncatedLedger:
     """Measure minimal generator degrees of J_{≥m} and the homology superset.
 
     J = ann(φ).  The truncation J_{≥m} is generated in degree m (all of
     J_m), degree m+1 (fresh elements of J_{m+1}), and degrees s+1-j where
     the strand homology C_{1,j} is nonzero (0 ≤ j ≤ s-m-1).  The measured
-    profile scans degrees m..s+1 by span growth in full coordinates.
+    profile is ffla.span_scan over degrees m..s+1 in full coordinates, with
+    ann(φ)_i as the piece.
     """
     p, n, s = phi.p, phi.n, phi.deg
     if not (1 <= m <= s + 1):
         raise ValueError(f"truncation degree {m} outside 1..{s + 1}")
-    measured: dict[int, int] = {}
-    prev = ann_piece(phi, m) if m <= s else FMatrix.identity(p, dim_P(n, m))
-    if prev.rows:
-        measured[m] = prev.rows
-    for i in range(m + 1, s + 2):
-        Ji = ann_piece(phi, i) if i <= s else FMatrix.identity(p, dim_P(n, i))
-        r = _span_rank(p, n, prev.a, i) if prev.rows else 0
-        mu = Ji.rows - r
-        if mu:
-            measured[i] = mu
-        prev = Ji
+
+    def span(i: int, vecs: np.ndarray) -> np.ndarray:
+        maps = [_mult_map(n, i - 1, t) for t in range(n)]
+        R, r, _ = rref(FMatrix.of(p, stack_products(vecs, maps, dim_P(n, i))))
+        return R.a[:r]
+
+    start = np.zeros((0, dim_P(n, m - 1)), dtype=np.int64)
+    news, _, _ = span_scan(p, range(m, s + 2), start, span, lambda i: ann_piece(phi, i))
+    measured = {i: len(g) for i, g in news.items()}
     c_ranks = {j: c_rank(phi, 1, j).rank for j in range(max(s - m, 0))}
     predicted = {m, m + 1} | {s + 1 - j for j, c in c_ranks.items() if c}
     return TruncatedLedger(m=m, measured=measured, predicted=frozenset(predicted), c_ranks=c_ranks)

@@ -7,8 +7,9 @@ with all exponents < q).  Generator counting works entirely in B-coordinates:
 for i ≥ q+1 the degree-q part of the span is automatic (c_i = P_1·c_{i-1}),
 so new generators at degree i are dim K̂_i − dim π_B(P_1·K̂_{i-1}).
 
-One span scan, `_profile_scan`, does that arithmetic.  The literal profile
-runs it with the kernel at every degree 1..s+1.  When the link is
+`ffla.span_scan` does that arithmetic; `_link_scan` gives it the
+B-projected span, eliminated class by class, and K̂_i as the piece.  The
+literal profile takes the kernel at every degree 1..s+1.  When the link is
 relatively compressed (the kernel at ⌈s/2⌉ has its expected dimension),
 dim K̂_i = max(0, |B_i| − |B_{s-i}|) in every degree, so the scan extracts
 kernels only at degrees where the running span falls short of that
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ffla import FMatrix, Prime, block_rref, is_power_of, rank, reduce_rows, rref
+from .ffla import FMatrix, Prime, block_rref, is_power_of, rank, reduce_rows, rref, span_scan
 from .invsys import MultigradeSplitter, bbasis, bhat_kernel, dim_B, is_relatively_compressed, link_inverse_poly
 from .polyring import DividedElem, HomogPoly, basis, dim_P, mul_ranks, stack_products
 
@@ -84,69 +85,53 @@ class GeneratorProfile:
         return sorted(set(self.counts) | set(self.bounds))
 
 
-def _count_at_q(phi: DividedElem, q: int, n: int, kprev: FMatrix, kq: FMatrix):
+def _count_at_q(phi: DividedElem, q: int, n: int, kprev: np.ndarray, kq: FMatrix):
     """Generators at degree q itself: the c-monomials join here, and products
     of J_{q-1} can leave the B-span, so this one degree works in full P_q
-    coordinates.  Returns (count, ci_minimal)."""
+    coordinates.  J_q = c_q ⊕ K̂_q holds P_1·J_{q-1}, so the count is
+    n + dim K̂_q minus the rank of that span.  Returns (count, ci_minimal)."""
     p = phi.p
     full_q = basis(n, q)
-    if kprev.rows == 0:
+    if kprev.shape[0] == 0:
         return n + kq.rows, True
     src = bbasis(n, q - 1, q).exps
     maps = [mul_ranks(q - 1, src, x_t) for x_t in np.eye(n, dtype=np.int64)]
-    prods = stack_products(kprev.a, maps, full_q.size)
-    R, r, _ = rref(FMatrix.of(p, prods))
+    R, r, _ = rref(FMatrix.of(p, stack_products(kprev, maps, full_q.size)))
     cvecs = np.zeros((n, full_q.size), dtype=np.int64)
     cvecs[np.arange(n), full_q.rank_rows(q * np.eye(n, dtype=np.int64))] = 1
-    kvecs = np.zeros((kq.rows, full_q.size), dtype=np.int64)
-    kvecs[:, bbasis(n, q, q).idx] = kq.a
-    total = rank(FMatrix.of(p, np.concatenate([R.a[:r], cvecs, kvecs], axis=0)))
     with_ci = rank(FMatrix.of(p, np.concatenate([R.a[:r], cvecs], axis=0)))
-    return total - r, with_ci - r == n
+    return n + kq.rows - r, with_ci - r == n
 
 
-def _profile_scan(phi: DividedElem, q: int, degrees, vecs: np.ndarray, counts: dict[int, int],
-                  expected=None) -> np.ndarray:
-    """Record dim K̂_i − rank π_B(P_1·K̂_{i-1}) new generators at each degree
-    i.  vecs spans K̂ one degree below the first; returns rows spanning K̂ at
-    the last.  Where expected(i) = dim K̂_i is given, a span that reaches it
-    is K̂_i and no kernel is extracted; any other kernel dimension raises."""
+def _link_scan(phi: DividedElem, q: int, degrees, vecs: np.ndarray, expected=None):
+    """ffla.span_scan over K̂ in B-coordinates: the span at degree i is
+    π_B(P_1·K̂_{i-1}), eliminated class by class, and the piece is K̂_i.
+    vecs spans K̂ one degree below the first.  Returns (new generator counts
+    by degree, rows spanning K̂ at the last degree)."""
     p, n = phi.p, phi.n
     sp = MultigradeSplitter.of(phi)
-    for i in degrees:
+
+    def span(i: int, vecs: np.ndarray) -> np.ndarray:
         bi = bbasis(n, i, q)
-        if len(vecs):
-            span = _mul_into_B(vecs, n, q, i - 1)
-            basis_rows, r = _grouped_rref(p, span, sp.keys(bi.exps)[0])
-        else:
-            basis_rows, r = np.zeros((0, bi.size), dtype=np.int64), 0
-        if expected is not None and r == expected(i):
-            vecs = basis_rows
-            continue
-        ki = _bkernel(phi, i, q)
-        if expected is not None and ki.rows != expected(i):
-            raise RuntimeError(
-                f"compressed Hilbert function violated at degree {i}: "
-                f"kernel dim {ki.rows} != {expected(i)}"
-            )
-        if ki.rows > r:
-            counts[i] = ki.rows - r
-        vecs = ki.a
-    return vecs
+        if not len(vecs):
+            return np.zeros((0, bi.size), dtype=np.int64)
+        return _grouped_rref(p, _mul_into_B(vecs, n, q, i - 1), sp.keys(bi.exps)[0])[0]
+
+    news, _, last = span_scan(p, degrees, vecs, span, lambda i: _bkernel(phi, i, q), expected)
+    return {i: len(g) for i, g in news.items()}, last
 
 
 def _profile_literal(phi: DividedElem, q: int, n: int) -> GeneratorProfile:
     """Kernels at every degree 1..s+1, with degree q counted in full P_q."""
     s = phi.deg
-    counts: dict[int, int] = {}
-    kprev = _profile_scan(phi, q, range(1, min(q, s + 2)), np.zeros((0, 1), dtype=np.int64), counts)
+    counts, kprev = _link_scan(phi, q, range(1, min(q, s + 2)), np.zeros((0, 1), dtype=np.int64))
     if q > s + 1:  # n = 1: the scan ends below q
         return GeneratorProfile(counts=counts, ci_minimal=True)
     kq = _bkernel(phi, q, q)
-    mu, ci_minimal = _count_at_q(phi, q, n, FMatrix.of(phi.p, kprev), kq)
+    mu, ci_minimal = _count_at_q(phi, q, n, kprev, kq)
     if mu:
         counts[q] = mu
-    _profile_scan(phi, q, range(q + 1, s + 2), kq.a, counts)
+    counts.update(_link_scan(phi, q, range(q + 1, s + 2), kq.a)[0])
     return GeneratorProfile(counts=counts, ci_minimal=ci_minimal)
 
 
@@ -177,7 +162,7 @@ def measured_generator_profile(f: HomogPoly, q: int, thorough: bool = False) -> 
             counts = {q: n}
             if k1.rows:
                 counts[i1] = k1.rows
-            _profile_scan(phi, q, range(i1 + 1, s + 2), k1.a, counts, expected)
+            counts.update(_link_scan(phi, q, range(i1 + 1, s + 2), k1.a, expected)[0])
             return GeneratorProfile(counts=counts, ci_minimal=True)
     return _profile_literal(phi, q, n)
 
@@ -236,14 +221,28 @@ def fmul_rank(f: HomogPoly, q: int, j: int) -> int:
     Row m reaches only the columns m + t for t in f's support, so the
     matrix is block-diagonal over the classes of m + t0 (rows) and of the
     target monomial (columns), and its rank is the sum of the block ranks.
+    Each block is filled from the per-term index maps, so the whole matrix
+    is never formed.
     """
-    M = _fmul_rows(f, q, j)
-    if not M.any():
+    n, d = f.n, f.deg
+    src, tgt = bbasis(n, j - d, q), bbasis(n, j, q)
+    if not src.size or not tgt.size:
         return 0
     sp = MultigradeSplitter.of(f)
-    rkey, ckey = sp.keys(bbasis(f.n, j - f.deg, q).exps + sp.t0, bbasis(f.n, j, q).exps)
-    return sum(rank(FMatrix.of(f.p, M[np.ix_(rkey == c, ckey == c)]))
-               for c in np.intersect1d(rkey, ckey))
+    rkey, ckey = sp.keys(src.exps + sp.t0, tgt.exps)
+    terms = [(tgt.full_to_sub[mul_ranks(j - d, src.exps, m)], c) for m, c in f.terms()]
+    at = np.empty(tgt.size, dtype=np.int64)  # a column's place in its class
+    total = 0
+    for k in np.intersect1d(rkey, ckey):
+        rows, cols = np.flatnonzero(rkey == k), np.flatnonzero(ckey == k)
+        at[cols] = np.arange(cols.size)
+        block = np.zeros((rows.size, cols.size), dtype=np.int64)
+        for sub, c in terms:
+            hit = sub[rows]
+            ok = hit >= 0
+            block[np.flatnonzero(ok), at[hit[ok]]] = c
+        total += rank(FMatrix.of(f.p, block))
+    return total
 
 
 def quotient_hilbert(f: HomogPoly | None, q: int, *, p=None, n: int = 3) -> list[int]:

@@ -5,10 +5,13 @@ R/(x_1^q,...,x_n^q)R over the hypersurface ring R = P/(f), one internal
 degree at a time.  In each degree the boundary condition is a finite
 linear system over GF(p): kernels come from exact elimination, and the
 minimal generators of each syzygy module are split off as a complement
-of the span of variable shifts of the generators found so far.  No
-Groebner machinery is involved; a single polynomial f is the one place
-where division happens, and division by one polynomial is a linear
-reduction computable monomial by monomial.
+of the span of the variable shifts of the kernel one degree below
+(`ffla.span_scan`).  From step 3 on, exactness gives dim ker(d_k)_j =
+dim F_k,j − dim ker(d_(k-1))_j in every degree the step before scanned,
+so a step eliminates its kernel only in step 2, past the previous cap, or
+where the span falls short.  No Groebner machinery is involved; a single
+polynomial f is the one place where division happens, and division by
+one polynomial is a linear reduction computable monomial by monomial.
 
 Over P the scan range of homological step i is certified by the top
 nonzero degree of the artinian quotient (no minimal syzygy lives beyond
@@ -31,7 +34,7 @@ import json
 import numpy as np
 
 from .ffla import (
-    FMatrix, Prime, _mulmod, inv_small, int64_room, kernel_basis, rank, reduce_rows, rref,
+    FMatrix, Prime, _mulmod, inv_small, int64_room, kernel_basis, rank, reduce_rows, rref, span_scan,
 )
 from .linkage import quotient_hilbert
 from .polyring import HomogPoly, basis, dim_P, mul_ranks
@@ -367,31 +370,35 @@ def _decode_row(ops, degs, row: np.ndarray, j: int) -> tuple[HomogPoly | None, .
     return tuple(out)
 
 
-def _syzygy_step(ops, gmap: GradedFreeMap, cap: int, *, hard_cap: bool):
-    """Minimal generators of ker(gmap), scanning degrees up to cap."""
-    p = ops.p
-    j0 = min(gmap.src_degs)
-    prev = np.zeros((0, _slot_layout(ops, gmap.src_degs, j0 - 1)[1][-1]), np.int64)
-    found: list[tuple[int, np.ndarray]] = []
-    for j in range(j0, cap + 1):
-        ker = kernel_basis(_eval_matrix(ops, gmap, j))
-        span = _shift_rows(ops, gmap.src_degs, prev, j - 1)
-        Of, r, piv = rref(FMatrix.of(p, span))
-        _, resid = reduce_rows(Of.a, piv, ker.a, p)
-        resid = resid[np.any(resid != 0, axis=1)]
-        if resid.shape[0]:
-            Rf, nr, _ = rref(FMatrix.of(p, resid))
-            if nr and j == cap and hard_cap:
-                raise ValueError(
-                    f"uncertified degree cap: syzygy generators found at the "
-                    f"cap boundary {cap}; rerun with degree_cap > {cap}"
-                )
-            for v in Rf.a[:nr]:
-                found.append((j, v.copy()))
-        prev = ker.a
-    src_degs = tuple(j for j, _ in found)
-    entries = tuple(_decode_row(ops, gmap.src_degs, v, j) for j, v in found)
-    return GradedFreeMap(src_degs, gmap.src_degs, entries)
+def _syzygy_step(ops, gmap: GradedFreeMap, cap: int, *, hard_cap: bool, ranks: dict, kers: dict):
+    """Minimal generators of ker(gmap), scanning degrees up to cap.
+
+    ranks[j], where present, is the rank of gmap in degree j, so the kernel
+    there has dimension dim F_j − ranks[j] and is not eliminated once the
+    shifts of the degree below span that much.  kers receives dim ker(gmap)_j
+    for every scanned degree j."""
+    p, degs = ops.p, gmap.src_degs
+    j0 = min(degs)
+
+    def span(j: int, rows: np.ndarray) -> np.ndarray:
+        R, r, _ = rref(FMatrix.of(p, _shift_rows(ops, degs, rows, j - 1)))
+        return R.a[:r]
+
+    def expected(j: int) -> int | None:
+        return _slot_layout(ops, degs, j)[1][-1] - ranks[j] if j in ranks else None
+
+    start = np.zeros((0, _slot_layout(ops, degs, j0 - 1)[1][-1]), np.int64)
+    news, dims, _ = span_scan(p, range(j0, cap + 1), start, span,
+                              lambda j: kernel_basis(_eval_matrix(ops, gmap, j)), expected)
+    if hard_cap and cap in news:
+        raise ValueError(
+            f"uncertified degree cap: syzygy generators found at the "
+            f"cap boundary {cap}; rerun with degree_cap > {cap}"
+        )
+    kers.update(dims)
+    found = [(j, v) for j, G in news.items() for v in G]
+    entries = tuple(_decode_row(ops, degs, v, j) for j, v in found)
+    return GradedFreeMap(tuple(j for j, _ in found), degs, entries)
 
 
 def _minimal_ideal_gens(ops, gens: list[HomogPoly]) -> list[HomogPoly]:
@@ -436,13 +443,18 @@ def _resolve(ring: str, f, q: int, ops, gens: list[HomogPoly], steps: int, cap, 
     """The resolution driver: minimal generators, the first map, then one
     syzygy step per homological degree up to steps.  cap(i, prev) is the
     last internal degree step i scans for the kernel of the map prev; a
-    step after an empty one is empty."""
+    step after an empty one is empty.  In every degree a step scans, its
+    generators span ker(prev), so it hands the next step the new map's
+    rank there."""
     gens = _minimal_ideal_gens(ops, gens)
     maps = [GradedFreeMap(tuple(g.deg for g in gens), (0,), tuple((g,) for g in gens))]
+    ranks: dict[int, int] = {}  # rank of maps[-1] by degree, where exactness fixes it
     for i in range(2, steps + 1):
         prev = maps[-1]
         if prev.src_degs:
-            maps.append(_syzygy_step(ops, prev, cap(i, prev), hard_cap=hard_cap))
+            kers: dict[int, int] = {}
+            maps.append(_syzygy_step(ops, prev, cap(i, prev), hard_cap=hard_cap, ranks=ranks, kers=kers))
+            ranks = kers
         else:
             maps.append(GradedFreeMap((), prev.src_degs, ()))
     return Resolution(ring, q, f, tuple(maps), _build_table(ring, steps, maps), ops)

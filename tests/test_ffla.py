@@ -16,6 +16,7 @@ from frobetti.ffla import (
     row_space_membership,
     rref,
     solve_right,
+    span_scan,
 )
 
 
@@ -135,6 +136,36 @@ def test_block_split_matches_assembled_matrix():
         rows, r = block_rref(M.p, w, blocks)
         assert r == rank(M) == rows.shape[0]
         assert np.array_equal(rref(FMatrix(p, rows))[0].a[:r], rref(M)[0].a[:r])
+
+
+def test_span_scan_skips_pieces_the_span_fills():
+    # the span of a degree is the previous piece itself; degree 2 knows its
+    # dimension and the span reaches it, so piece(2) must not be called
+    p = Prime(5)
+    pieces = {1: FMatrix(p, [[1, 2, 0], [0, 0, 1]]), 3: FMatrix.identity(p, 3)}
+    news, dims, last = span_scan(
+        p, [1, 2, 3], np.zeros((0, 3), dtype=np.int64),
+        lambda i, vecs: rref(FMatrix(p, vecs))[0].a[: len(vecs)],
+        pieces.__getitem__, {1: None, 2: 2, 3: 3}.get,
+    )
+    assert dims == {1: 2, 2: 2, 3: 3}
+    assert sorted(news) == [1, 3]
+    assert news[1].tolist() == [[1, 2, 0], [0, 0, 1]]
+    # the identity reduced against the span leaves only e_2's direction
+    assert news[3].tolist() == [[0, 1, 0]]
+    assert last.tolist() == np.eye(3, dtype=int).tolist()
+
+
+def test_span_scan_refuses_piece_of_unexpected_dimension():
+    # the span falls short, so the piece is taken, and it is not of the
+    # dimension expected(i) promised
+    p = Prime(5)
+    with pytest.raises(RuntimeError, match="degree 3 has dimension 2, expected 1"):
+        span_scan(
+            p, [3], np.zeros((0, 2), dtype=np.int64),
+            lambda i, vecs: np.zeros((0, 2), dtype=np.int64),
+            lambda i: FMatrix.identity(p, 2), lambda i: 1,
+        )
 
 
 def test_membership_examples():

@@ -136,7 +136,8 @@ def _forms_at_q_equal_p(draw):
 @example((P("x2y + z3", 11), 11))
 def test_profile_paths_agree_property(case):
     # the compressed scan, the every-degree scan and the truncation ledger
-    # (full coordinates, no shared loop) count the same generators
+    # (the same span scan, but in full coordinates with the pieces of
+    # ann(φ)) count the same generators
     f, q = case
     fast = measured_generator_profile(f, q)
     slow = measured_generator_profile(f, q, thorough=True)
@@ -221,6 +222,9 @@ def _generic_cubic(p):
     ("cyc4", P("xy3 + yz3 + zx3", 7), 7, 7),
     ("diag4", P("x4 + y4 + z4", 7), 7, 16),
     ("generic", _generic_cubic(7), 7, 1),
+    # (x+y+z)^2: its ranks fall short of the same support with unit
+    # coefficients, so a block that drops the coefficients is caught
+    ("square", P("x2 + y2 + z2 + 2xy + 2yz + 2zx", 5), 5, 1),
 ])
 def test_fmul_rank_matches_dense_rank(name, f, q, classes):
     s = 3 * (q - 1)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import frobetti.resolution as resolution
 from frobetti.ffla import FMatrix, rank, rref
 from frobetti.linkage import measured_generator_profile
 from frobetti.polyring import HomogPoly, basis, dim_P, parse_poly
@@ -323,3 +325,53 @@ def test_resolutions_refuse_q_below_one(q):
         resolve_over_P(f, q)
     with pytest.raises(ValueError, match="q must be >= 1"):
         resolve_over_P(None, q, p=5)
+
+
+# --- kernel dimensions handed from step to step --------------------------------
+
+
+def _blind(resolve, *args):
+    """resolve(*args) with no kernel dimension handed to any syzygy step, so
+    every step eliminates the kernel in every degree it scans."""
+    step = resolution._syzygy_step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "_syzygy_step", lambda *a, ranks, **kw: step(*a, ranks={}, **kw))
+        return resolve(*args)
+
+
+def _kernels(resolve, *args):
+    """Number of kernel eliminations resolve(*args) makes."""
+    calls = []
+    kernel = resolution.kernel_basis
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "kernel_basis", lambda M: calls.append(M.shape) or kernel(M))
+        resolve(*args)
+    return len(calls)
+
+
+@st.composite
+def _small_forms(draw):
+    p = draw(st.sampled_from([5, 7]))
+    d = draw(st.integers(2, 3))
+    coef = draw(st.lists(st.integers(0, p - 1), min_size=dim_P(3, d), max_size=dim_P(3, d)))
+    assume(any(coef))
+    return HomogPoly(p, 3, d, np.array(coef, dtype=np.int64))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(_small_forms())
+def test_handed_down_kernel_dimensions_change_nothing_property(f):
+    # a step that skips the kernels exactness fixes finds the same maps as
+    # one that eliminates every kernel, and both are exact past the cap
+    q = int(f.p)
+    for resolve, args in ((resolve_over_R, (f, q, 5)), (resolve_over_P, (f, q))):
+        res = resolve(*args)
+        assert res.maps == _blind(resolve, *args).maps
+        degs = [j for m in res.maps for j in m.src_degs]
+        audit_resolution(res, jmax=max(degs) + q + f.deg + 1)
+
+
+def test_handed_down_kernel_dimensions_skip_kernels():
+    f = P(CYC4, 7)
+    assert _kernels(resolve_over_R, f, 7, 4) < _kernels(_blind, resolve_over_R, f, 7, 4)
+    assert _kernels(resolve_over_P, f, 7) < _kernels(_blind, resolve_over_P, f, 7)
